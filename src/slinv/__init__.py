@@ -52,7 +52,9 @@ from .errors import (
 from .invariants import (
     V_OCT,
     V_TET,
+    DiagramAnalysis,
     InvariantReport,
+    MapAnalysis,
     ReducedGraphData,
     Verdict,
     big_P,

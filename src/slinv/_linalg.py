@@ -9,22 +9,8 @@ inside 2^E subgraph sweeps.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 Vec = dict[int, Fraction]
-
-
-def vec_from_pairs(pairs: Iterable[tuple[int, int | Fraction]]) -> Vec:
-    v: Vec = {}
-    for col, val in pairs:
-        val = Fraction(val)
-        if val:
-            new = v.get(col, Fraction(0)) + val
-            if new:
-                v[col] = new
-            else:
-                v.pop(col, None)
-    return v
 
 
 def vec_sub_scaled(v: Vec, w: Vec, factor: Fraction) -> Vec:
@@ -85,19 +71,3 @@ class Echelon:
         dup.pivots = {c: dict(r) for c, r in self.pivots.items()}
         return dup
 
-
-def rank_of(vectors: Iterable[Vec]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
-
-
-def rank_mod(vectors: Iterable[Vec], base: Echelon) -> int:
-    """Rank of the image of `vectors` in the quotient by span(base)."""
-    ech = base.copy()
-    count = 0
-    for v in vectors:
-        if ech.insert(v):
-            count += 1
-    return count

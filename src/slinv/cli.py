@@ -10,30 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .diagram import DEFAULT_CAP, SurfaceLinkDiagram, enumerate_states, parse_diagram, writhe
 from .errors import InputError, NonIntegerGenus, PreconditionError, SlinvError
 from .invariants import (
-    HomologyContext,
+    FORMAL_BOUNDS_NOTE,
+    DiagramAnalysis,
     InvariantReport,
+    MapAnalysis,
     Verdict,
+    _check_crossing_cap,
     _loop_deletion_verdict,
-    _skipped,
-    big_P,
+    _tutte_verdict,
     full_report,
     jones_krushkal_statesum,
-    krushkal,
-    reduce,
-    tau,
     verify_krushkal_coeffs,
     verify_polynomial_duality,
     verify_subgraph_count,
     volume_bounds,
-    tutte_check,
-    _verdict,
 )
 from .poly import JKPoly
 from .ribbon import CombinatorialMap, parse_map
@@ -42,7 +38,7 @@ from .ribbon import CombinatorialMap, parse_map
 def _load_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -90,28 +86,20 @@ def _verdict_lines(verdicts) -> list[str]:
 # -- map-file (.rg) reporting ---------------------------------------------------
 
 
-def _map_verdicts(m: CombinatorialMap, cap: int) -> list[Verdict]:
-    ctx = HomologyContext(m)
-    rows = list(verify_krushkal_coeffs(m, ctx, cap))
-    rows.append(verify_polynomial_duality(m, ctx, cap))
-    rows.append(verify_subgraph_count(m, ctx, cap))
-    rows.append(
-        _verdict(
-            "tutte_specialization",
-            tutte_check(m, ctx, cap),
-            "rank polynomial by deletion-contraction",
-        )
-    )
-    rows.append(_loop_deletion_verdict([("G", m)], cap))
+def _map_verdicts(a: MapAnalysis) -> list[Verdict]:
+    m = a.map
+    rows = list(verify_krushkal_coeffs(m, a.ctx, data=a.reduced, P=a.P))
+    rows.append(verify_polynomial_duality(m, analysis=a))
+    rows.append(verify_subgraph_count(m, analysis=a))
+    rows.append(_tutte_verdict(a))
+    rows.append(_loop_deletion_verdict([("G", a)]))
     return rows
 
 
 def _map_report(m: CombinatorialMap, cap: int) -> tuple[dict, str]:
-    ctx = HomologyContext(m)
-    p = krushkal(m, ctx, cap)
-    P = big_P(m, ctx, cap)
-    data = reduce(m, ctx)
-    rows = _map_verdicts(m, cap)
+    a = MapAnalysis(m, cap)
+    p, P, data = a.p, a.P, a.reduced
+    rows = _map_verdicts(a)
     obj = {
         "vertices": m.V,
         "edges": m.E,
@@ -119,14 +107,7 @@ def _map_report(m: CombinatorialMap, cap: int) -> tuple[dict, str]:
         "genus": m.genus,
         "p": {"text": p.to_text(), "terms": p.to_json()},
         "P": {"text": P.to_text(), "terms": P.to_json()},
-        "reduced": {
-            "kept_edges": list(data.kept_edges),
-            "trivial_loops_deleted": data.trivial_loops_deleted,
-            "lambda": data.lam,
-            "mu": data.mu,
-            "gamma": data.gamma,
-            "has_3petal": data.has_3petal,
-        },
+        "reduced": data.to_json(),
         "verdicts": [v.to_json() for v in rows],
     }
     lines = [
@@ -166,14 +147,11 @@ def _report_text(r: InvariantReport) -> str:
         lines.append(f"flags: {', '.join(flagged) if flagged else 'none'}")
     if r.n is not None:
         lines.append(f"tait graphs: |V(G_A)| = {r.n + 1} (n = {r.n}), |V(G_B)| = {r.N + 1} (N = {r.N})")
-        lines.append(
-            f"G_A: lambda={r.tait_a.lam} mu={r.tait_a.mu} gamma={r.tait_a.gamma}"
-            f" trivial-loops-deleted={r.tait_a.trivial_loops_deleted}"
-        )
-        lines.append(
-            f"G_B: lambda={r.tait_b.lam} mu={r.tait_b.mu} gamma={r.tait_b.gamma}"
-            f" trivial-loops-deleted={r.tait_b.trivial_loops_deleted}"
-        )
+        for side, t in (("G_A", r.tait_a), ("G_B", r.tait_b)):
+            lines.append(
+                f"{side}: lambda={t.lam} mu={t.mu} gamma={t.gamma}"
+                f" trivial-loops-deleted={t.trivial_loops_deleted}"
+            )
     if r.p is not None:
         lines.append(f"p(G_A) = {r.p.to_text()}")
         lines.append(f"P(G_A) = {r.P.to_text()}")
@@ -212,7 +190,7 @@ def cmd_verify(args) -> int:
     loaded = _load_any(args.path, args)
     cap = _cap(args)
     if isinstance(loaded, CombinatorialMap):
-        rows = _map_verdicts(loaded, cap)
+        rows = _map_verdicts(MapAnalysis(loaded, cap))
     else:
         rows = list(full_report(loaded, cap).verdicts)
     if args.verifier:
@@ -296,10 +274,13 @@ def cmd_states(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = _load_diagram(args.path, args)
-    t = tau(d)
+    # bounds enumerate no states or subgraphs, so the analysis needs no cap;
+    # --max-crossings is still enforced, as in every other command
+    a = DiagramAnalysis(d)
+    t = a.tau_by_classes
     lower, upper = volume_bounds(t, d.genus)
-    report = full_report(d, _cap(args))
-    note = report.volume_note
+    _check_crossing_cap(d, _cap(args))
+    note = "" if a.flags.strongly_reduced else FORMAL_BOUNDS_NOTE
     obj = {
         "tau": t,
         "genus": d.genus,

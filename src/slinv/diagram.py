@@ -28,7 +28,7 @@ from .errors import (
     NotCheckerboardColorable,
     NotFourValent,
 )
-from .ribbon import CombinatorialMap, HomologyContext
+from .ribbon import CombinatorialMap, HomologyContext, trivial_loops
 
 End = tuple[int, int]  # (crossing, slot)
 
@@ -137,6 +137,14 @@ def _parse_end(token: str, n_crossings: int) -> End:
     return cr, slot
 
 
+def _int_field(parts: list[str], line: str) -> int:
+    """The integer after a directive: a crossing count or an id."""
+    try:
+        return int(parts[1])
+    except ValueError as exc:
+        raise InputError(f"bad {parts[0]} line {line!r}") from exc
+
+
 def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
     """Parse the "sld v1" format and normalize over-strands into slots {0,2}."""
     n_crossings: int | None = None
@@ -156,7 +164,7 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
         if parts[0] == "crossings":
             if n_crossings is not None or len(parts) != 2:
                 raise InputError(f"bad crossings line {line!r}")
-            n_crossings = int(parts[1])
+            n_crossings = _int_field(parts, line)
             if n_crossings < 0:
                 raise InputError("crossing count must be nonnegative")
         elif parts[0] == "arc":
@@ -164,7 +172,7 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
                 raise InputError("arc line before crossings line")
             if len(parts) != 4:
                 raise InputError(f"bad arc line {line!r}")
-            aid = int(parts[1])
+            aid = _int_field(parts, line)
             if aid in arc_rows:
                 raise InputError(f"duplicate arc id {aid}")
             arc_rows[aid] = (_parse_end(parts[2], n_crossings), _parse_end(parts[3], n_crossings))
@@ -173,7 +181,7 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
                 raise InputError("over line before crossings line")
             if len(parts) != 3 or parts[2] not in ("02", "13"):
                 raise InputError(f"bad over line {line!r}")
-            cr = int(parts[1])
+            cr = _int_field(parts, line)
             if not (0 <= cr < n_crossings):
                 raise BadSlot(f"crossing {cr} out of range in over line")
             over_rows[cr] = parts[2]
@@ -396,15 +404,13 @@ def reduced_flags(d: SurfaceLinkDiagram) -> ReducedFlags:
     if d.crossings == 0:
         return ReducedFlags(True, True, True)
     pair = tait_graphs(d, checkerboard(d))
-    any_loop = False
-    any_trivial_loop = False
-    for g in (pair.g_a, pair.g_b):
-        ctx = HomologyContext(g)
-        for e in g.edge_ids:
-            if g.is_loop(e):
-                any_loop = True
-                if ctx.in_B({e: Fraction(1)}):
-                    any_trivial_loop = True
+    return tait_flags(HomologyContext(pair.g_a), HomologyContext(pair.g_b))
+
+
+def tait_flags(*contexts: HomologyContext) -> ReducedFlags:
+    """reduced_flags read off homology contexts of the two Tait graphs."""
+    any_loop = any(ctx.map.is_loop(e) for ctx in contexts for e in ctx.map.edge_ids)
+    any_trivial_loop = any(trivial_loops(ctx) for ctx in contexts)
     return ReducedFlags(True, not any_trivial_loop, not any_loop)
 
 

@@ -18,18 +18,19 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import (
     DEFAULT_CAP,
+    Coloring,
     ReducedFlags,
     SurfaceLinkDiagram,
-    TaitPair,
     checkerboard,
     enumerate_states,
     is_alternating,
-    reduced_flags,
+    tait_flags,
     tait_graphs,
     writhe,
 )
@@ -50,17 +51,19 @@ from .ribbon import (
     CombinatorialMap,
     HomologyContext,
     SpanningSubgraph,
+    _component_count,
     delete_edge,
-    dual,
+    find_root,
     is_isomorphic,
     parallel,
     subgraph_profile,
+    trivial_loops,
 )
-from .ribbon import _component_count
 
 # volumes of the regular ideal tetrahedron and octahedron
 V_TET = 1.01494
 V_OCT = 3.66386
+FORMAL_BOUNDS_NOTE = "strongly-reduced hypothesis fails; bounds are formal"
 
 P_VARS = ("x", "y", "u", "v")
 BIG_VARS = ("X", "Y", "U", "V")
@@ -101,6 +104,11 @@ def _check_edge_cap(m: CombinatorialMap, cap: int) -> None:
         raise EdgeCapExceeded(f"{m.E} edges exceed the subgraph-sum cap of {cap}")
 
 
+def _check_crossing_cap(d: SurfaceLinkDiagram, cap: int) -> None:
+    if d.crossings > cap:
+        raise CrossingCapExceeded(f"{d.crossings} crossings exceed the cap of {cap}")
+
+
 def krushkal(
     m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
 ) -> LaurentPoly:
@@ -122,7 +130,11 @@ def big_P(
     m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
 ) -> LaurentPoly:
     """P_G(X,Y,U,V) = p_G(X-1, Y-1, U, V)."""
-    p = krushkal(m, ctx, cap)
+    return _shifted(krushkal(m, ctx, cap))
+
+
+def _shifted(p: LaurentPoly) -> LaurentPoly:
+    """P from p: substitute x = X-1, y = Y-1, u = U, v = V."""
     x = LaurentPoly.var(BIG_VARS, "X") - 1
     y = LaurentPoly.var(BIG_VARS, "Y") - 1
     u = LaurentPoly.var(BIG_VARS, "U")
@@ -166,11 +178,15 @@ def _whitney_rank(edges: list[tuple[int, int]]) -> LaurentPoly:
 
 
 def tutte_check(
-    m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
+    m: CombinatorialMap,
+    ctx: HomologyContext | None = None,
+    cap: int = DEFAULT_CAP,
+    *,
+    analysis: MapAnalysis | None = None,
 ) -> bool:
     """Whether y^g * p_G(x, y, y, 1/y) equals the Whitney rank polynomial of
     the underlying abstract graph, the latter computed by deletion-contraction."""
-    p = krushkal(m, ctx, cap)
+    p = (analysis or MapAnalysis(m, cap, ctx)).p
     ring = ("x", "y")
     x = LaurentPoly.var(ring, "x")
     y = LaurentPoly.var(ring, "y")
@@ -186,16 +202,17 @@ def loop_deletion_check(
     e: int,
     ctx: HomologyContext | None = None,
     cap: int = DEFAULT_CAP,
+    *,
+    analysis: MapAnalysis | None = None,
 ) -> bool:
     """Whether p_G = (1+y) * p_(G-e) for a homologically trivial loop e."""
-    ctx = ctx or HomologyContext(m)
+    a = analysis or MapAnalysis(m, cap, ctx)
     if not m.is_loop(e):
         raise NotTrivialLoop(f"edge {e} is not a loop")
-    if not ctx.in_B({e: Fraction(1)}):
+    if not a.ctx.in_B({e: Fraction(1)}):
         raise NotTrivialLoop(f"loop {e} is homologically nontrivial")
-    smaller = delete_edge(m, e)
     factor = LaurentPoly.var(P_VARS, "y") + 1
-    return krushkal(m, ctx, cap) == factor * krushkal(smaller, cap=cap)
+    return a.p == factor * krushkal(delete_edge(m, e), cap=a.cap)
 
 
 # -- reduced graphs ---------------------------------------------------------------
@@ -221,6 +238,16 @@ class ReducedGraphData:
     gamma: int
     has_3petal: bool
 
+    def to_json(self) -> dict:
+        return {
+            "kept_edges": list(self.kept_edges),
+            "trivial_loops_deleted": self.trivial_loops_deleted,
+            "lambda": self.lam,
+            "mu": self.mu,
+            "gamma": self.gamma,
+            "has_3petal": self.has_3petal,
+        }
+
 
 def reduce(
     m: CombinatorialMap,
@@ -231,25 +258,17 @@ def reduce(
     chosen by index rotation so invariance under the choice is testable."""
     ctx = ctx or HomologyContext(m)
     parent = list(range(m.E))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for e, f in itertools.combinations(range(m.E), 2):
         if parallel(e, f, ctx):
-            ra, rb = find(e), find(f)
+            ra, rb = find_root(parent, e), find_root(parent, f)
             if ra != rb:
                 parent[ra] = rb
 
     classes: dict[int, list[int]] = {}
     for e in range(m.E):
-        classes.setdefault(find(e), []).append(e)
+        classes.setdefault(find_root(parent, e), []).append(e)
 
-    one = Fraction(1)
-    trivial = {e for e in m.edge_ids if m.is_loop(e) and ctx.in_B({e: one})}
+    trivial = set(trivial_loops(ctx))
 
     kept: list[int] = []
     for cls in sorted(classes.values()):
@@ -337,37 +356,40 @@ def jones_krushkal_statesum(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JK
     """J_K(t, z) as the writhe-normalized state sum
     (-1)^w t^(3w/4) * sum over states of
     t^((b-a)/4) (-t^(-1/2) - t^(1/2))^(k(s)-1) z^r(s)."""
-    if d.crossings == 0:
-        return JKPoly.const(1)
-    checkerboard(d)
+    return DiagramAnalysis(d, cap).jk
+
+
+def _state_sum(d: SurfaceLinkDiagram, cap: int) -> tuple[JKPoly, int]:
+    """One pass over the states of a colorable diagram: the state sum of
+    J_K, and the number of states with k(s) < 1, which the sum skips (their
+    weight is undefined, and none should exist)."""
     w = writhe(d)
     bracket = JKPoly({(-2, 0): -1, (2, 0): -1})
     powers = [JKPoly.const(1)]
     total = JKPoly.zero()
+    bad = 0
     for s in enumerate_states(d, cap):
-        assert s.k >= 1, "colorable diagrams have k(s) >= 1 for every state"
-        while len(powers) <= s.k - 1:
+        k = s.k
+        if k < 1:
+            bad += 1
+            continue
+        while len(powers) < k:
             powers.append(powers[-1] * bracket)
-        total = total + JKPoly.term(1, s.b - s.a, s.r) * powers[s.k - 1]
-    return JKPoly.term(1 if w % 2 == 0 else -1, 3 * w) * total
+        total = total + JKPoly.term(1, s.b - s.a, s.r) * powers[k - 1]
+    return JKPoly.term(1 if w % 2 == 0 else -1, 3 * w) * total, bad
 
 
 def jones_krushkal_via_P(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JKPoly:
     """J_K(t, z) by specializing the shifted four-variable polynomial of the
     shaded Tait graph:
     (-1)^w t^((3w-2g-2n+c)/4) z^g P_GA(-t, -1/t, 1/(z sqrt t), sqrt t / z)."""
-    if d.crossings == 0:
-        return JKPoly.const(1)
-    if d.crossings > cap:
-        raise CrossingCapExceeded(f"{d.crossings} crossings exceed the cap of {cap}")
-    if not is_alternating(d):
-        # the unsigned Tait-graph substitution needs every crossing to sit the
-        # same way against the shading, which is exactly alternation
-        raise NotAlternating("specialization route needs an alternating diagram")
-    pair = tait_graphs(d, checkerboard(d))
-    P = big_P(pair.g_a, cap=cap)
+    return DiagramAnalysis(d, cap).jk_via_P
+
+
+def _specialized(d: SurfaceLinkDiagram, n: int, P: LaurentPoly) -> JKPoly:
+    """The specialization of jones_krushkal_via_P, given n = |V(G_A)| - 1 and
+    P = P_GA."""
     g, c, w = d.genus, d.crossings, writhe(d)
-    n = pair.g_a.V - 1
     ring, scales = ("t", "z"), (4, 1)
     assignments = {
         "X": LaurentPoly(ring, {(4, 0): -1}, scales),
@@ -447,51 +469,26 @@ def kauffman_bracket_jones(d: SurfaceLinkDiagram) -> LaurentPoly:
 # -- twist numbers ----------------------------------------------------------------
 
 
-def _require_reduced_alternating(d: SurfaceLinkDiagram) -> None:
-    if not is_alternating(d):
-        raise NotAlternating("twist invariants need an alternating diagram")
-    if not reduced_flags(d).nugatory_free:
-        raise NotReduced("diagram has a homologically trivial Tait loop (nugatory crossing)")
-
-
 def tau(d: SurfaceLinkDiagram) -> int:
     """Homological twist number: crossings up to the equivalence generated by
     edge-parallelism in either Tait graph."""
-    if d.crossings == 0:
-        return 0
-    _require_reduced_alternating(d)
-    pair = tait_graphs(d, checkerboard(d))
-    return _tau_of_pair(d.crossings, pair.g_a, pair.g_b)
+    return DiagramAnalysis(d).tau_by_classes
 
 
-def _tau_of_pair(c: int, g_a: CombinatorialMap, g_b: CombinatorialMap) -> int:
-    ctx_a, ctx_b = HomologyContext(g_a), HomologyContext(g_b)
+def _tau_of_pair(c: int, ctx_a: HomologyContext, ctx_b: HomologyContext) -> int:
     parent = list(range(c))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for i, j in itertools.combinations(range(c), 2):
         if parallel(i, j, ctx_a) or parallel(i, j, ctx_b):
-            ri, rj = find(i), find(j)
+            ri, rj = find_root(parent, i), find_root(parent, j)
             if ri != rj:
                 parent[ri] = rj
-    return sum(1 for i in range(c) if find(i) == i)
+    return sum(1 for i in range(c) if find_root(parent, i) == i)
 
 
 def tau_formula(d: SurfaceLinkDiagram) -> int:
     """Twist number from reduced-graph statistics:
     lambda + mu + lambda-bar + mu-bar - 2g."""
-    if d.crossings == 0:
-        return 0
-    _require_reduced_alternating(d)
-    pair = tait_graphs(d, checkerboard(d))
-    ra = reduce(pair.g_a)
-    rb = reduce(pair.g_b)
-    return ra.lam + ra.mu + rb.lam + rb.mu - 2 * d.genus
+    return DiagramAnalysis(d).tau_by_formula
 
 
 def twist_regions(d: SurfaceLinkDiagram) -> int:
@@ -499,32 +496,165 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
     components of the graph joining crossings that share a bigon face."""
     if d.crossings == 0:
         return 0
-    m = d.cmap
     parent = list(range(d.crossings))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for walk in m.faces:
+    for walk in d.cmap.faces:
         if len(walk) == 2:
             c1, c2 = walk[0] // 4, walk[1] // 4
             if c1 != c2:
-                r1, r2 = find(c1), find(c2)
+                r1, r2 = find_root(parent, c1), find_root(parent, c2)
                 if r1 != r2:
                     parent[r1] = r2
-    return sum(1 for i in range(d.crossings) if find(i) == i)
+    return sum(1 for i in range(d.crossings) if find_root(parent, i) == i)
+
+
+# -- one analysis per input ----------------------------------------------------------
+
+
+class MapAnalysis:
+    """The homology context, p, P, reduction and dual of one map, each
+    computed at most once, on first use."""
+
+    def __init__(
+        self, m: CombinatorialMap, cap: int = DEFAULT_CAP, ctx: HomologyContext | None = None
+    ) -> None:
+        self.map = m
+        self.cap = cap
+        if ctx is not None:
+            self.ctx = ctx  # fills the cached property below
+
+    @cached_property
+    def ctx(self) -> HomologyContext:
+        return HomologyContext(self.map)
+
+    @cached_property
+    def p(self) -> LaurentPoly:
+        return krushkal(self.map, self.ctx, self.cap)
+
+    @cached_property
+    def P(self) -> LaurentPoly:
+        return _shifted(self.p)
+
+    @cached_property
+    def reduced(self) -> ReducedGraphData:
+        return reduce(self.map, self.ctx)
+
+    @cached_property
+    def dual(self) -> MapAnalysis:
+        return MapAnalysis(self.ctx.dual_map, self.cap)
+
+
+class DiagramAnalysis:
+    """What the report derives from one diagram, each piece computed at most
+    once, on first use: the checkerboard coloring, the Tait graphs (as
+    MapAnalysis objects), the reduced flags, one state sum, the Tait-graph
+    specialization of J_K and both twist numbers.  A piece whose hypotheses
+    fail raises the PreconditionError of the public function that computes
+    it alone."""
+
+    def __init__(self, d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> None:
+        self.d = d
+        self.cap = cap
+
+    @cached_property
+    def alternating(self) -> bool:
+        return is_alternating(self.d)
+
+    @cached_property
+    def _coloring(self) -> Coloring | str:
+        """The coloring, or why there is none."""
+        try:
+            return checkerboard(self.d)
+        except NotCheckerboardColorable as exc:
+            return str(exc)
+
+    def coloring(self) -> Coloring:
+        if isinstance(self._coloring, str):
+            raise NotCheckerboardColorable(self._coloring)
+        return self._coloring
+
+    @property
+    def colorable(self) -> bool:
+        """Whether J_K is defined: the 0-crossing unknot counts, although it
+        has no faces to color."""
+        return self.d.crossings == 0 or not isinstance(self._coloring, str)
+
+    @cached_property
+    def tait(self) -> tuple[MapAnalysis, MapAnalysis]:
+        """(G_A, G_B)."""
+        pair = tait_graphs(self.d, self.coloring())
+        return MapAnalysis(pair.g_a, self.cap), MapAnalysis(pair.g_b, self.cap)
+
+    @cached_property
+    def flags(self) -> ReducedFlags:
+        if self.d.crossings == 0:
+            return ReducedFlags(True, True, True)
+        g_a, g_b = self.tait
+        return tait_flags(g_a.ctx, g_b.ctx)
+
+    def require_reduced_alternating(self) -> None:
+        if not self.alternating:
+            raise NotAlternating("twist invariants need an alternating diagram")
+        if not self.flags.nugatory_free:
+            raise NotReduced("diagram has a homologically trivial Tait loop (nugatory crossing)")
+
+    @cached_property
+    def state_sum(self) -> tuple[JKPoly, int]:
+        """(J_K by the state sum, the number of states with k(s) < 1)."""
+        if self.d.crossings == 0:
+            return JKPoly.const(1), 0
+        self.coloring()  # raises on a non-colorable diagram
+        return _state_sum(self.d, self.cap)
+
+    @property
+    def jk(self) -> JKPoly:
+        jk, bad = self.state_sum
+        if bad:
+            raise HypothesisViolated(f"{bad} states with k < 1 leave J_K undefined")
+        return jk
+
+    @cached_property
+    def jk_via_P(self) -> JKPoly:
+        if self.d.crossings == 0:
+            return JKPoly.const(1)
+        _check_crossing_cap(self.d, self.cap)
+        if not self.alternating:
+            # the unsigned Tait-graph substitution needs every crossing to sit the
+            # same way against the shading, which is exactly alternation
+            raise NotAlternating("specialization route needs an alternating diagram")
+        g_a = self.tait[0]
+        return _specialized(self.d, g_a.map.V - 1, g_a.P)
+
+    @cached_property
+    def tau_by_classes(self) -> int:
+        if self.d.crossings == 0:
+            return 0
+        self.require_reduced_alternating()
+        g_a, g_b = self.tait
+        return _tau_of_pair(self.d.crossings, g_a.ctx, g_b.ctx)
+
+    @cached_property
+    def tau_by_formula(self) -> int:
+        if self.d.crossings == 0:
+            return 0
+        self.require_reduced_alternating()
+        ra, rb = (g.reduced for g in self.tait)
+        return ra.lam + ra.mu + rb.lam + rb.mu - 2 * self.d.genus
 
 
 # -- verifiers ---------------------------------------------------------------------
+#
+# The verifiers take optional shared work -- an `analysis` of their input, or
+# `data` and `P` for verify_krushkal_coeffs -- through which full_report
+# computes each intermediate result once.  A given analysis brings its cap.
 
 
-def verify_route_equality(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Verdict:
+def verify_route_equality(
+    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
+) -> Verdict:
     """State-sum J_K against the Tait-graph specialization route."""
-    by_sum = jones_krushkal_statesum(d, cap)
-    by_p = jones_krushkal_via_P(d, cap)
+    a = analysis or DiagramAnalysis(d, cap)
+    by_sum = a.jk
+    by_p = a.jk_via_P
     if by_sum == by_p:
         return _verdict("route_equality", True, by_sum.to_text())
     return _verdict(
@@ -532,20 +662,22 @@ def verify_route_equality(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Verd
     )
 
 
-def verify_jk_coefficients(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Verdict:
+def verify_jk_coefficients(
+    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
+) -> Verdict:
     """Closed form for the outer coefficients of J_K in terms of the
     reduced-graph data of both Tait graphs, compared at every monomial in
     the expression's support (colliding monomials are collected first)."""
     if d.crossings == 0:
         raise HypothesisViolated("coefficient expression needs at least one crossing")
-    _require_reduced_alternating(d)
-    pair = tait_graphs(d, checkerboard(d))
-    ra = reduce(pair.g_a)
-    rb = reduce(pair.g_b)
+    a = analysis or DiagramAnalysis(d, cap)
+    a.require_reduced_alternating()
+    g_a, g_b = a.tait
+    ra, rb = g_a.reduced, g_b.reduced
     if ra.has_3petal or rb.has_3petal:
         raise HypothesisViolated("a Tait graph has 3-petal loops")
     g, c, w = d.genus, d.crossings, writhe(d)
-    n = pair.g_a.V - 1
+    n = g_a.map.V - 1
     inner = (
         JKPoly.term(1 if c % 2 == 0 else -1, 4 * (g - c))
         * (JKPoly.term(rb.lam, 2, 1) - JKPoly.term(rb.mu - rb.gamma, 4))
@@ -554,31 +686,32 @@ def verify_jk_coefficients(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Ver
     )
     prefactor = JKPoly.term(1 if (w + n) % 2 == 0 else -1, 3 * w + 2 * n + c)
     expr = prefactor * inner
-    jk = jones_krushkal_statesum(d, cap)
+    jk = a.jk
     bad = {
         key: (coeff, jk.coefficient(*key))
         for key, coeff in expr.terms.items()
         if jk.coefficient(*key) != coeff
     }
     if not bad:
-        return _verdict(
-            "jk_coefficients", True, f"{len(expr.terms)} coefficient slots match"
-        )
+        return _verdict("jk_coefficients", True, f"{len(expr.terms)} coefficient slots match")
     return _verdict("jk_coefficients", False, f"mismatched slots {bad}")
 
 
-def verify_span(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Verdict:
+def verify_span(
+    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
+) -> Verdict:
     """t-span of J_K(t, 1) equals c - g, with extremal coefficients +-1
     arising from the V^g X^n and U^g Y^N terms of P."""
     if d.crossings == 0:
         return _verdict("span", True, "0-crossing diagram, span 0")
-    _require_reduced_alternating(d)
-    pair = tait_graphs(d, checkerboard(d))
-    jk = jones_krushkal_statesum(d, cap)
+    a = analysis or DiagramAnalysis(d, cap)
+    a.require_reduced_alternating()
+    g_a, g_b = a.tait
+    jk = a.jk
     c, g = d.crossings, d.genus
-    n = pair.g_a.V - 1
-    N = pair.g_b.V - 1
-    P = big_P(pair.g_a, cap=cap)
+    n = g_a.map.V - 1
+    N = g_b.map.V - 1
+    P = g_a.P
     collapsed = jk.z_collapsed()
     hi, lo = max(collapsed), min(collapsed)
     checks = {
@@ -594,30 +727,36 @@ def verify_span(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Verdict:
     return _verdict("span", False, f"failed: {', '.join(bad)}")
 
 
-def verify_twist_formula(d: SurfaceLinkDiagram) -> Verdict:
+def verify_twist_formula(
+    d: SurfaceLinkDiagram, *, analysis: DiagramAnalysis | None = None
+) -> Verdict:
     """Union-find twist number against lambda + mu + lambda-bar + mu-bar - 2g."""
-    by_classes = tau(d)
-    by_formula = tau_formula(d)
-    return _verdict(
-        "twist_formula",
-        by_classes == by_formula,
-        f"union-find {by_classes}, formula {by_formula}",
-    )
+    a = analysis or DiagramAnalysis(d)
+    by_classes, by_formula = a.tau_by_classes, a.tau_by_formula
+    detail = f"union-find {by_classes}, formula {by_formula}"
+    return _verdict("twist_formula", by_classes == by_formula, detail)
 
 
-def verify_tait_duality(d: SurfaceLinkDiagram) -> Verdict:
+def verify_tait_duality(
+    d: SurfaceLinkDiagram, *, analysis: DiagramAnalysis | None = None
+) -> Verdict:
     """The unshaded Tait graph is the dual map of the shaded one."""
-    pair = tait_graphs(d, checkerboard(d))
-    ok = is_isomorphic(pair.g_b, dual(pair.g_a))
+    g_a, g_b = (analysis or DiagramAnalysis(d)).tait
+    ok = is_isomorphic(g_b.map, g_a.dual.map)
     return _verdict("tait_duality", ok, "G_B compared with dual(G_A)")
 
 
 def verify_polynomial_duality(
-    m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
+    m: CombinatorialMap,
+    ctx: HomologyContext | None = None,
+    cap: int = DEFAULT_CAP,
+    *,
+    analysis: MapAnalysis | None = None,
 ) -> Verdict:
-    """p_G(x,y,u,v) = p_G*(y,x,v,u)."""
-    p = krushkal(m, ctx, cap)
-    q = krushkal(dual(m), cap=cap)
+    """p_G(x,y,u,v) = p_G*(y,x,v,u), with p_G* summed over the dual map."""
+    analysis = analysis or MapAnalysis(m, cap, ctx)
+    p = analysis.p
+    q = analysis.dual.p
     swapped = LaurentPoly(
         P_VARS, {(b, a, vv, u): coeff for (a, b, u, vv), coeff in q.terms.items()}
     )
@@ -627,33 +766,40 @@ def verify_polynomial_duality(
 
 
 def verify_subgraph_count(
-    m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
+    m: CombinatorialMap,
+    ctx: HomologyContext | None = None,
+    cap: int = DEFAULT_CAP,
+    *,
+    analysis: MapAnalysis | None = None,
 ) -> Verdict:
     """P(2,2,1,1) counts all spanning subgraphs: 2^E."""
-    value = big_P(m, ctx, cap).evaluate({"X": 2, "Y": 2, "U": 1, "V": 1})
+    P = (analysis or MapAnalysis(m, cap, ctx)).P
+    value = P.evaluate({"X": 2, "Y": 2, "U": 1, "V": 1})
     return _verdict(
         "subgraph_count", value == 2**m.E, f"P(2,2,1,1) = {value}, 2^E = {2 ** m.E}"
     )
 
 
-def verify_state_kernel(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Verdict:
+def verify_state_kernel(
+    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
+) -> Verdict:
     """Every state of a colorable diagram has kernel dimension k(s) >= 1."""
-    if d.crossings:
-        checkerboard(d)
-    bad = sum(1 for s in enumerate_states(d, cap) if s.k < 1)
+    _, bad = (analysis or DiagramAnalysis(d, cap)).state_sum
     return _verdict("state_kernel", bad == 0, f"{bad} states with k < 1")
 
 
-def _loop_deletion_verdict(
-    graphs: list[tuple[str, CombinatorialMap]], cap: int = DEFAULT_CAP
-) -> Verdict:
+def _tutte_verdict(a: MapAnalysis) -> Verdict:
+    ok = tutte_check(a.map, analysis=a)
+    return _verdict("tutte_specialization", ok, "rank polynomial by deletion-contraction")
+
+
+def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
     """Check p_G = (1+y) p_(G-e) on the first homologically trivial loop found."""
-    for side, g in graphs:
-        ctx = HomologyContext(g)
-        for e in g.edge_ids:
-            if g.is_loop(e) and ctx.in_B({e: Fraction(1)}):
-                ok = loop_deletion_check(g, e, ctx, cap)
-                return _verdict("loop_deletion", ok, f"trivial loop {e} of {side}")
+    for side, a in graphs:
+        loops = trivial_loops(a.ctx)
+        if loops:
+            ok = loop_deletion_check(a.map, loops[0], analysis=a)
+            return _verdict("loop_deletion", ok, f"trivial loop {loops[0]} of {side}")
     return _skipped("loop_deletion", "no homologically trivial loops")
 
 
@@ -712,16 +858,7 @@ class InvariantReport:
             return None if p is None else {"text": p.to_text(), "terms": p.to_json()}
 
         def reduced(r: ReducedGraphData | None):
-            if r is None:
-                return None
-            return {
-                "kept_edges": list(r.kept_edges),
-                "trivial_loops_deleted": r.trivial_loops_deleted,
-                "lambda": r.lam,
-                "mu": r.mu,
-                "gamma": r.gamma,
-                "has_3petal": r.has_3petal,
-            }
+            return None if r is None else r.to_json()
 
         return {
             "crossings": self.crossings,
@@ -730,13 +867,7 @@ class InvariantReport:
             "components": self.components,
             "alternating": self.alternating,
             "colorable": self.colorable,
-            "flags": None
-            if self.flags is None
-            else {
-                "cellular": self.flags.cellular,
-                "nugatory_free": self.flags.nugatory_free,
-                "strongly_reduced": self.flags.strongly_reduced,
-            },
+            "flags": None if self.flags is None else asdict(self.flags),
             "n": self.n,
             "N": self.N,
             "tait_a": reduced(self.tait_a),
@@ -757,60 +888,42 @@ class InvariantReport:
         }
 
 
+def _attempt(fn, *args, **kwargs):
+    """(fn(...), None), or (None, the reason) when a hypothesis fails; cap
+    violations propagate."""
+    try:
+        return fn(*args, **kwargs), None
+    except (CrossingCapExceeded, EdgeCapExceeded):
+        raise
+    except PreconditionError as exc:
+        return None, str(exc)
+
+
 def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
-    """Run every computation and verifier that applies; hypothesis failures
-    become skipped verdicts rather than errors.  Cap violations propagate."""
-    if d.crossings > cap:
-        raise CrossingCapExceeded(f"{d.crossings} crossings exceed the cap of {cap}")
-    verdicts: list[Verdict] = []
-
-    def attempt(fn, *args, **kwargs):
-        try:
-            result = fn(*args, **kwargs)
-        except (CrossingCapExceeded, EdgeCapExceeded):
-            raise
-        except PreconditionError as exc:
-            return None, str(exc)
-        return result, None
-
-    w = writhe(d)
+    """Run every computation and verifier that applies on one shared
+    DiagramAnalysis, so that each quantity is computed once; hypothesis
+    failures become skipped verdicts rather than errors.  Cap violations
+    propagate."""
+    _check_crossing_cap(d, cap)
+    a = DiagramAnalysis(d, cap)
     g = d.genus
-    alternating = is_alternating(d)
+    has_tait = d.crossings > 0 and a.colorable
 
-    pair: TaitPair | None = None
-    flags: ReducedFlags | None = None
-    colorable = True
-    if d.crossings:
-        coloring, why = attempt(checkerboard, d)
-        if coloring is None:
-            colorable = False
-        else:
-            pair = tait_graphs(d, coloring)
-            flags = reduced_flags(d)
-    else:
-        flags = reduced_flags(d)
+    n = N = tait_a = tait_b = p = P = None
+    if has_tait:
+        g_a, g_b = a.tait
+        n, N = g_a.map.V - 1, g_b.map.V - 1
+        tait_a, tait_b = g_a.reduced, g_b.reduced
+        p, P = g_a.p, g_a.P
 
-    n = N = None
-    tait_a = tait_b = None
-    p = P = None
-    if pair is not None:
-        n, N = pair.g_a.V - 1, pair.g_b.V - 1
-        ctx_a = HomologyContext(pair.g_a)
-        tait_a = reduce(pair.g_a, ctx_a)
-        tait_b = reduce(pair.g_b)
-        p = krushkal(pair.g_a, ctx_a, cap)
-        P = big_P(pair.g_a, ctx_a, cap)
-
-    jk = jones = None
-    span = None
-    if colorable:
-        jk = jones_krushkal_statesum(d, cap)
+    jk = jones = span = None
+    if a.colorable:
+        jk = a.jk
         jones = jk.jones_specialization()
         span = jk.t_span()
 
-    tau_value, tau_why = attempt(tau, d)
-    tau_form, _ = attempt(tau_formula, d)
-    twist_count = twist_regions(d)
+    tau_value, tau_why = _attempt(lambda: a.tau_by_classes)
+    tau_form, _ = _attempt(lambda: a.tau_by_formula)
 
     volume_lower = volume_upper = None
     if tau_value is None:
@@ -819,47 +932,29 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
         volume_note = "genus-0 diagram: bounds out of scope"
     else:
         volume_lower, volume_upper = volume_bounds(tau_value, g)
-        volume_note = ""
-        if flags is not None and not flags.strongly_reduced:
-            volume_note = "strongly-reduced hypothesis fails; bounds are formal"
+        volume_note = "" if a.flags.strongly_reduced else FORMAL_BOUNDS_NOTE
 
-    checks = [
-        ("route_equality", verify_route_equality, (d, cap)),
-        ("jk_coefficients", verify_jk_coefficients, (d, cap)),
-        ("span", verify_span, (d, cap)),
-        ("twist_formula", verify_twist_formula, (d,)),
-        ("tait_duality", verify_tait_duality, (d,)),
-        ("state_kernel", verify_state_kernel, (d, cap)),
-    ]
-    for name, fn, args in checks:
-        result, why = attempt(fn, *args)
+    verdicts: list[Verdict] = []
+    for name, fn in (
+        ("route_equality", verify_route_equality),
+        ("jk_coefficients", verify_jk_coefficients),
+        ("span", verify_span),
+        ("twist_formula", verify_twist_formula),
+        ("tait_duality", verify_tait_duality),
+        ("state_kernel", verify_state_kernel),
+    ):
+        result, why = _attempt(fn, d, analysis=a)
         verdicts.append(result if result is not None else _skipped(name, why))
 
-    if pair is not None:
-        for side, graph in (("G_A", pair.g_a), ("G_B", pair.g_b)):
-            result, why = attempt(verify_polynomial_duality, graph, cap=cap)
-            verdicts.append(
-                Verdict(f"polynomial_duality[{side}]", result.status, result.detail)
-                if result is not None
-                else _skipped(f"polynomial_duality[{side}]", why)
-            )
-            rows, why = attempt(verify_krushkal_coeffs, graph, cap=cap)
-            if rows is None:
-                verdicts.append(_skipped(f"coefficients[{side}]", why))
-            else:
-                verdicts.extend(
-                    Verdict(f"{row.name}[{side}]", row.status, row.detail) for row in rows
-                )
-        result, why = attempt(verify_subgraph_count, pair.g_a, cap=cap)
-        verdicts.append(result if result is not None else _skipped("subgraph_count", why))
-        verdicts.append(
-            _verdict(
-                "tutte_specialization",
-                tutte_check(pair.g_a, cap=cap),
-                "rank polynomial by deletion-contraction",
-            )
-        )
-        verdicts.append(_loop_deletion_verdict([("G_A", pair.g_a), ("G_B", pair.g_b)], cap))
+    if has_tait:
+        for side, graph in (("G_A", g_a), ("G_B", g_b)):
+            result = verify_polynomial_duality(graph.map, analysis=graph)
+            verdicts.append(Verdict(f"polynomial_duality[{side}]", result.status, result.detail))
+            rows = verify_krushkal_coeffs(graph.map, graph.ctx, data=graph.reduced, P=graph.P)
+            verdicts.extend(Verdict(f"{row.name}[{side}]", row.status, row.detail) for row in rows)
+        verdicts.append(verify_subgraph_count(g_a.map, analysis=g_a))
+        verdicts.append(_tutte_verdict(g_a))
+        verdicts.append(_loop_deletion_verdict([("G_A", g_a), ("G_B", g_b)]))
     else:
         reason = "no Tait graphs (0 crossings or not colorable)"
         for name in (
@@ -876,11 +971,11 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
     return InvariantReport(
         crossings=d.crossings,
         genus=g,
-        writhe=w,
+        writhe=writhe(d),
         components=len(d.components),
-        alternating=alternating,
-        colorable=colorable,
-        flags=flags,
+        alternating=a.alternating,
+        colorable=a.colorable,
+        flags=a.flags if a.colorable else None,
         n=n,
         N=N,
         tait_a=tait_a,
@@ -892,7 +987,7 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
         t_span=span,
         tau=tau_value,
         tau_by_formula=tau_form,
-        twist_regions=twist_count,
+        twist_regions=twist_regions(d),
         volume_lower=volume_lower,
         volume_upper=volume_upper,
         volume_note=volume_note,

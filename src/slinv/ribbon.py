@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._linalg import Echelon, Vec
@@ -216,9 +217,6 @@ class CombinatorialMap:
         t, h = self.endpoints(e)
         return t == h
 
-    def half_edges_of_vertex(self, v: int) -> tuple[int, ...]:
-        return self.vertices[v]
-
     # -- structure ------------------------------------------------------------
 
     def dual(self) -> "CombinatorialMap":
@@ -393,14 +391,6 @@ class SpanningSubgraph:
             if not (0 <= e < self.parent.E):
                 raise InputError(f"edge id {e} outside parent range")
 
-    @property
-    def half_edges(self) -> set[int]:
-        out = set()
-        for e in self.edges:
-            out.add(self.parent.tail_half(e))
-            out.add(self.parent.head_half(e))
-        return out
-
 
 @dataclass(frozen=True)
 class SubgraphProfile:
@@ -468,18 +458,20 @@ def chain_of_walk(m: CombinatorialMap, walk: Iterable[int]) -> Vec:
     return out
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _component_count(m: CombinatorialMap, edges: Iterable[int]) -> int:
     parent = list(range(m.V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     count = m.V
     for e in edges:
-        a, b = (find(v) for v in m.endpoints(e))
+        t, h = m.endpoints(e)
+        a, b = find_root(parent, t), find_root(parent, h)
         if a != b:
             parent[a] = b
             count -= 1
@@ -515,44 +507,7 @@ class HomologyContext:
         self.map = m
         self.h1_dim = 2 * m.genus
 
-        # spanning tree by BFS; path_to_root[v] = 1-chain of a tree path v -> root
-        path_to_root: list[Vec | None] = [None] * m.V
-        path_to_root[0] = {}
-        tree_edges: set[int] = set()
-        frontier = [0]
-        adj: list[list[int]] = [[] for _ in range(m.V)]
-        for e in m.edge_ids:
-            t, h = m.endpoints(e)
-            adj[t].append(e)
-            if h != t:
-                adj[h].append(e)
-        while frontier:
-            u = frontier.pop()
-            for e in adj[u]:
-                t, h = m.endpoints(e)
-                v = h if t == u else t
-                if path_to_root[v] is None:
-                    chain = dict(path_to_root[u])
-                    sign = Fraction(1) if t == v else Fraction(-1)
-                    new = chain.get(e, Fraction(0)) + sign
-                    if new:
-                        chain[e] = new
-                    else:
-                        chain.pop(e, None)
-                    path_to_root[v] = chain
-                    tree_edges.add(e)
-                    frontier.append(v)
-        self.tree_edges = frozenset(tree_edges)
-
-        self.cycle_basis: list[Vec] = []
-        self._fundamental: dict[int, Vec] = {}
-        for e in m.edge_ids:
-            if e in tree_edges:
-                continue
-            cyc = self._close_edge(e, path_to_root)
-            self._fundamental[e] = cyc
-            self.cycle_basis.append(cyc)
-        self._path_to_root = path_to_root
+        self.cycle_basis: list[Vec] = self.fundamental_cycles_of(m.edge_ids)
 
         self.face_space = Echelon()
         for walk in m.faces:
@@ -562,26 +517,9 @@ class HomologyContext:
         assert self.face_space.rank == m.F - 1 or m.E == 0
         assert len(self.cycle_basis) - self.face_space.rank == self.h1_dim or m.E == 0
 
-        self._dual: CombinatorialMap | None = None
-
-    def _close_edge(self, e: int, path_to_root: list[Vec | None]) -> Vec:
-        m = self.map
-        t, h = m.endpoints(e)
-        chain: Vec = {e: Fraction(1)}
-        for v, sign in ((h, Fraction(1)), (t, Fraction(-1))):
-            for edge, val in path_to_root[v].items():
-                new = chain.get(edge, Fraction(0)) + sign * val
-                if new:
-                    chain[edge] = new
-                else:
-                    chain.pop(edge, None)
-        return chain
-
-    @property
+    @cached_property
     def dual_map(self) -> CombinatorialMap:
-        if self._dual is None:
-            self._dual = self.map.dual()
-        return self._dual
+        return self.map.dual()
 
     # -- class arithmetic --------------------------------------------------
 
@@ -601,20 +539,13 @@ class HomologyContext:
         m = self.map
         edges = set(edges)
         parent = list(range(m.V))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         path: dict[int, Vec] = {}
         cycles: list[Vec] = []
         # grow a forest inside H; each rejected edge closes one cycle
         forest_adj: dict[int, list[tuple[int, int]]] = {}
         for e in sorted(edges):
             t, h = m.endpoints(e)
-            a, b = find(t), find(h)
+            a, b = find_root(parent, t), find_root(parent, h)
             if a != b:
                 parent[a] = b
                 forest_adj.setdefault(t, []).append((e, h))
@@ -691,6 +622,12 @@ def edge_class(e: int, ctx: HomologyContext) -> Vec:
     if not ctx.map.is_loop(e):
         raise NotALoop(f"edge {e} has distinct endpoints")
     return ctx.class_of(_edge_chain(e))
+
+
+def trivial_loops(ctx: HomologyContext) -> list[int]:
+    """The homologically trivial loops of ctx.map: loops whose chain bounds."""
+    m = ctx.map
+    return [e for e in m.edge_ids if m.is_loop(e) and ctx.in_B(_edge_chain(e))]
 
 
 def cycle_of_pair(e: int, f: int, m: CombinatorialMap) -> Vec:

@@ -180,10 +180,25 @@ def test_corpus_rejects_unknown_name(capsys):
     assert "no bundled file" in err
 
 
-def test_missing_input_file(capsys):
+def test_missing_input_file(tmp_path, capsys):
     code, _, err = run(capsys, ["invariants", "/nonexistent/thing.sld"])
     assert code == 1
     assert "cannot read" in err
+    undecodable = tmp_path / "bom.sld"
+    undecodable.write_bytes(b"\xff\xfeformat sld 1\n")
+    code, out, err = run(capsys, ["invariants", str(undecodable)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read")
+    for name, text in (
+        ("count.sld", "format sld 1\ncrossings x\n"),
+        ("arc.sld", "format sld 1\ncrossings 1\narc a 0.0 0.3\narc 1 0.1 0.2\n"),
+        ("over.sld", "format sld 1\ncrossings 1\narc 0 0.0 0.3\narc 1 0.1 0.2\nover z 02\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, ["invariants", str(path)])
+        assert (code, out) == (1, ""), name
+        assert err.startswith("error: bad "), name
 
 
 def test_crossing_cap_blocks_enumeration(tmp_path, capsys):

@@ -322,3 +322,9 @@ def test_parser_rejects_malformed_diagrams():
         )
     with pytest.raises(InputError):
         parse_diagram(UNKNOT + "over 0 02\n")  # over line for missing crossing
+    with pytest.raises(InputError):
+        parse_diagram("format sld 1\ncrossings x\n")
+    with pytest.raises(InputError):
+        parse_diagram("format sld 1\ncrossings 1\narc a 0.0 0.3\narc 1 0.1 0.2\n")
+    with pytest.raises(InputError):
+        parse_diagram(CURL + "over z 02\n")

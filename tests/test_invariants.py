@@ -2,6 +2,7 @@
 the two Jones routes, and the aggregate report."""
 
 import json
+import sys
 
 import pytest
 
@@ -30,6 +31,7 @@ from slinv import (
     loop_deletion_check,
     parse_diagram,
     reduce,
+    reduced_flags,
     tait_graphs,
     tau,
     tau_formula,
@@ -39,7 +41,10 @@ from slinv import (
     verify_krushkal_coeffs,
     volume_bounds,
 )
+from slinv.cli import main
 from slinv.invariants import BIG_VARS, P_VARS
+
+from conftest import corpus_text, sample_torus_diagrams
 
 T_RING, T_SCALE = ("t",), (4,)
 STACKED_LOOPS = CombinatorialMap([(0, 1, 2, 3)], [(0, 1), (2, 3)])
@@ -285,6 +290,51 @@ def test_full_report_on_the_noncolorable_knot(diagrams):
     assert "twist number unavailable" in report.volume_note
     assert report.twist_regions == 1
     assert all(v.status == "skipped" for v in report.verdicts)
+
+
+def _count_calls(monkeypatch, name: str, original) -> list[tuple]:
+    """Wrap `original` wherever a slinv module binds it as `name`; the list
+    collects the positional arguments of every call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "slinv" or key.startswith("slinv.")) and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_report_computes_each_sum_once(monkeypatch, diagrams, tmp_path):
+    import slinv.diagram
+    import slinv.invariants
+
+    nugatory = next(
+        d
+        for d in sample_torus_diagrams(seed=7, count=6, c_lo=4, c_hi=5)
+        if not reduced_flags(d).nugatory_free
+    )
+    loop_map = tmp_path / "trivial_loop.rg"
+    loop_map.write_text(corpus_text("trivial_loop.rg"))
+    # (run, distinct maps summed over, state sums): G_A, G_B and their duals,
+    # plus G - e when a trivial loop is deleted; a map file has G, G*, G - e
+    runs = [
+        (lambda: full_report(diagrams["weave2x2.sld"]), 4, 1),
+        (lambda: full_report(nugatory), 5, 1),
+        (lambda: main(["krushkal", str(loop_map)]), 3, 0),
+    ]
+    for run, distinct_maps, state_sums in runs:
+        with monkeypatch.context() as patch:
+            sums = _count_calls(patch, "krushkal", slinv.invariants.krushkal)
+            states = _count_calls(patch, "enumerate_states", slinv.diagram.enumerate_states)
+            taits = _count_calls(patch, "tait_graphs", slinv.diagram.tait_graphs)
+            run()
+        summed = [args[0] for args in sums]
+        assert len(summed) == len(set(summed)) == distinct_maps
+        assert len(states) == state_sums
+        assert len(taits) <= 1
 
 
 def test_reports_serialize_to_json(diagrams):
