@@ -88,14 +88,11 @@ from .ribbon import (
     SpanningSubgraph,
     SubgraphProfile,
     boundary_walks,
-    build_map,
     chain_of_walk,
     cycle_of_pair,
     delete_edge,
     dual,
     edge_class,
-    faces,
-    genus,
     is_isomorphic,
     parallel,
     parse_map,

@@ -13,6 +13,16 @@ from fractions import Fraction
 Vec = dict[int, Fraction]
 
 
+def add_entry(d: dict, key, value) -> None:
+    """d[key] += value in place, dropping the key when the sum is zero: the
+    one accumulation of sparse chains and polynomial terms."""
+    new = d.get(key, 0) + value
+    if new:
+        d[key] = new
+    else:
+        d.pop(key, None)
+
+
 def vec_sub_scaled(v: Vec, w: Vec, factor: Fraction) -> Vec:
     """v - factor*w, dropping zeros."""
     out = dict(v)

@@ -24,14 +24,13 @@ from .invariants import (
     _check_crossing_cap,
     _loop_deletion_verdict,
     _tutte_verdict,
+    _weight,
     full_report,
-    jones_krushkal_statesum,
     verify_krushkal_coeffs,
     verify_polynomial_duality,
     verify_subgraph_count,
     volume_bounds,
 )
-from .poly import JKPoly
 from .ribbon import CombinatorialMap, parse_map
 
 
@@ -214,20 +213,18 @@ def cmd_verify(args) -> int:
 def cmd_states(args) -> int:
     d = _load_diagram(args.path, args)
     cap = _cap(args)
+    # one enumeration feeds both the table and the state sum
+    states = list(enumerate_states(d, cap))
     try:
-        jk = jones_krushkal_statesum(d, cap)
+        jk = DiagramAnalysis(d, cap, states).jk
         jk_note = None
     except PreconditionError as exc:
         jk, jk_note = None, str(exc)
     w = writhe(d)
-    bracket = JKPoly({(-2, 0): -1, (2, 0): -1})
     rows = []
-    for s in enumerate_states(d, cap):
+    for s in states:
         if s.k >= 1:
-            weight = JKPoly.term(1, s.b - s.a, s.r)
-            for _ in range(s.k - 1):
-                weight = weight * bracket
-            weight_text = weight.to_text()
+            weight_text = _weight(s.b - s.a, s.r, s.k).to_text()
         else:
             # reduced weight carries (-t^-1/2 - t^1/2)^(k-1), undefined at k=0
             weight_text = None

@@ -28,7 +28,7 @@ from .errors import (
     NotCheckerboardColorable,
     NotFourValent,
 )
-from .ribbon import CombinatorialMap, HomologyContext, trivial_loops
+from .ribbon import CombinatorialMap, HomologyContext, chain_of_walk, trivial_loops
 
 End = tuple[int, int]  # (crossing, slot)
 
@@ -294,8 +294,7 @@ def _trace_components(
     return tuple(comps)
 
 
-def serialize_diagram(d: SurfaceLinkDiagram) -> str:
-    return d.to_text()
+serialize_diagram = SurfaceLinkDiagram.to_text
 
 
 # -- crossing-level queries ---------------------------------------------------
@@ -452,21 +451,16 @@ def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[
         for start in range(n_half):
             if visited[start]:
                 continue
-            chain: Vec = {}
+            # the curve leaves each crossing through y = tau[h], along its arc
+            walk = []
             h = start
             while not visited[h]:
                 visited[h] = True
                 y = tau[h]
                 visited[y] = True
-                e = m.edge_of[y]
-                sign = Fraction(1) if y == m.edge_tails[e] else Fraction(-1)
-                new = chain.get(e, Fraction(0)) + sign
-                if new:
-                    chain[e] = new
-                else:
-                    chain.pop(e, None)
+                walk.append(y)
                 h = m.alpha[y]
-            chains.append(chain)
+            chains.append(chain_of_walk(m, walk))
         r = ctx.rank_mod_B(chains)
         curves = tuple(tuple(sorted(ctx.class_of(ch).items())) for ch in chains)
         b = mask.bit_count()

@@ -18,14 +18,18 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
+from ._linalg import add_entry
 from .diagram import (
     DEFAULT_CAP,
     Coloring,
     ReducedFlags,
+    State,
     SurfaceLinkDiagram,
     checkerboard,
     enumerate_states,
@@ -46,18 +50,18 @@ from .errors import (
     NotTrivialLoop,
     PreconditionError,
 )
-from .poly import JKPoly, LaurentPoly
+from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly
 from .ribbon import (
     CombinatorialMap,
     HomologyContext,
     SpanningSubgraph,
     _component_count,
     delete_edge,
-    find_root,
     is_isomorphic,
     parallel,
     subgraph_profile,
     trivial_loops,
+    union_roots,
 )
 
 # volumes of the regular ideal tetrahedron and octahedron
@@ -257,16 +261,11 @@ def reduce(
     """Reduced-graph statistics; the representative of each parallel class is
     chosen by index rotation so invariance under the choice is testable."""
     ctx = ctx or HomologyContext(m)
-    parent = list(range(m.E))
-    for e, f in itertools.combinations(range(m.E), 2):
-        if parallel(e, f, ctx):
-            ra, rb = find_root(parent, e), find_root(parent, f)
-            if ra != rb:
-                parent[ra] = rb
-
+    pairs = itertools.combinations(range(m.E), 2)
+    roots = union_roots(m.E, (pair for pair in pairs if parallel(*pair, ctx)))
     classes: dict[int, list[int]] = {}
-    for e in range(m.E):
-        classes.setdefault(find_root(parent, e), []).append(e)
+    for e, root in enumerate(roots):
+        classes.setdefault(root, []).append(e)
 
     trivial = set(trivial_loops(ctx))
 
@@ -359,23 +358,27 @@ def jones_krushkal_statesum(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JK
     return DiagramAnalysis(d, cap).jk
 
 
-def _state_sum(d: SurfaceLinkDiagram, cap: int) -> tuple[JKPoly, int]:
+def _weight(b_minus_a: int, r: int, k: int) -> JKPoly:
+    """t^((b-a)/4) z^r (-t^(-1/2) - t^(1/2))^(k-1): the weight of a state
+    with k >= 1."""
+    return JKPoly.term(1, b_minus_a, r) * CURVE_BINOMIAL ** (k - 1)
+
+
+def _state_sum(d: SurfaceLinkDiagram, states: Iterable[State]) -> tuple[JKPoly, int]:
     """One pass over the states of a colorable diagram: the state sum of
     J_K, and the number of states with k(s) < 1, which the sum skips (their
-    weight is undefined, and none should exist)."""
+    weight is undefined, and none should exist).  The states are tallied by
+    (b - a, r, k), all their weight depends on, and J_K is built once from
+    the tally."""
     w = writhe(d)
-    bracket = JKPoly({(-2, 0): -1, (2, 0): -1})
-    powers = [JKPoly.const(1)]
-    total = JKPoly.zero()
+    tally: Counter[tuple[int, int, int]] = Counter()
     bad = 0
-    for s in enumerate_states(d, cap):
-        k = s.k
-        if k < 1:
+    for s in states:
+        if s.k < 1:
             bad += 1
             continue
-        while len(powers) < k:
-            powers.append(powers[-1] * bracket)
-        total = total + JKPoly.term(1, s.b - s.a, s.r) * powers[k - 1]
+        tally[(s.b - s.a, s.r, s.k)] += 1
+    total = sum((n * _weight(*key) for key, n in tally.items()), JKPoly.zero())
     return JKPoly.term(1 if w % 2 == 0 else -1, 3 * w) * total, bad
 
 
@@ -403,9 +406,7 @@ def _specialized(d: SurfaceLinkDiagram, n: int, P: LaurentPoly) -> JKPoly:
     return JKPoly.from_laurent(prefactor * P.substitute(assignments))
 
 
-def jones_specialization(jk: JKPoly) -> LaurentPoly:
-    """Jones polynomial of J_K: set z = -t^(-1/2) - t^(1/2)."""
-    return jk.jones_specialization()
+jones_specialization = JKPoly.jones_specialization
 
 
 def kauffman_bracket_jones(d: SurfaceLinkDiagram) -> LaurentPoly:
@@ -449,11 +450,7 @@ def kauffman_bracket_jones(d: SurfaceLinkDiagram) -> LaurentPoly:
     def expand(p: dict[int, int], cr: int, a_exp: int, loops: int) -> None:
         if cr == d.crossings:
             for e, coeff in delta_pows[loops - 1].items():
-                new = acc.get(a_exp + e, 0) + coeff
-                if new:
-                    acc[a_exp + e] = new
-                else:
-                    acc.pop(a_exp + e, None)
+                add_entry(acc, a_exp + e, coeff)
             return
         for exp, joins in ((1, ((1, 2), (3, 0))), (-1, ((0, 1), (2, 3)))):
             p2, closed = smooth(p, cr, joins)
@@ -475,16 +472,6 @@ def tau(d: SurfaceLinkDiagram) -> int:
     return DiagramAnalysis(d).tau_by_classes
 
 
-def _tau_of_pair(c: int, ctx_a: HomologyContext, ctx_b: HomologyContext) -> int:
-    parent = list(range(c))
-    for i, j in itertools.combinations(range(c), 2):
-        if parallel(i, j, ctx_a) or parallel(i, j, ctx_b):
-            ri, rj = find_root(parent, i), find_root(parent, j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(c) if find_root(parent, i) == i)
-
-
 def tau_formula(d: SurfaceLinkDiagram) -> int:
     """Twist number from reduced-graph statistics:
     lambda + mu + lambda-bar + mu-bar - 2g."""
@@ -496,15 +483,8 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
     components of the graph joining crossings that share a bigon face."""
     if d.crossings == 0:
         return 0
-    parent = list(range(d.crossings))
-    for walk in d.cmap.faces:
-        if len(walk) == 2:
-            c1, c2 = walk[0] // 4, walk[1] // 4
-            if c1 != c2:
-                r1, r2 = find_root(parent, c1), find_root(parent, c2)
-                if r1 != r2:
-                    parent[r1] = r2
-    return sum(1 for i in range(d.crossings) if find_root(parent, i) == i)
+    bigons = ((walk[0] // 4, walk[1] // 4) for walk in d.cmap.faces if len(walk) == 2)
+    return len(set(union_roots(d.crossings, bigons)))
 
 
 # -- one analysis per input ----------------------------------------------------------
@@ -547,13 +527,17 @@ class DiagramAnalysis:
     """What the report derives from one diagram, each piece computed at most
     once, on first use: the checkerboard coloring, the Tait graphs (as
     MapAnalysis objects), the reduced flags, one state sum, the Tait-graph
-    specialization of J_K and both twist numbers.  A piece whose hypotheses
-    fail raises the PreconditionError of the public function that computes
-    it alone."""
+    specialization of J_K, the crossing pairs parallel in a Tait graph and
+    both twist numbers.  A piece whose hypotheses fail raises the
+    PreconditionError of the public function that computes it alone.  Given
+    `states`, the state sum reads them instead of enumerating its own."""
 
-    def __init__(self, d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> None:
+    def __init__(
+        self, d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, states: Iterable[State] | None = None
+    ) -> None:
         self.d = d
         self.cap = cap
+        self._states = states
 
     @cached_property
     def alternating(self) -> bool:
@@ -603,7 +587,8 @@ class DiagramAnalysis:
         if self.d.crossings == 0:
             return JKPoly.const(1), 0
         self.coloring()  # raises on a non-colorable diagram
-        return _state_sum(self.d, self.cap)
+        states = self._states if self._states is not None else enumerate_states(self.d, self.cap)
+        return _state_sum(self.d, states)
 
     @property
     def jk(self) -> JKPoly:
@@ -625,12 +610,27 @@ class DiagramAnalysis:
         return _specialized(self.d, g_a.map.V - 1, g_a.P)
 
     @cached_property
+    def parallel_crossings(self) -> tuple[tuple[int, int, bool, bool], ...]:
+        """(i, j, parallel in G_A, parallel in G_B) for each pair i < j of
+        crossings parallel in at least one Tait graph."""
+        if self.d.crossings == 0:
+            return ()
+        g_a, g_b = self.tait
+        rows = (
+            (i, j, parallel(i, j, g_a.ctx), parallel(i, j, g_b.ctx))
+            for i, j in itertools.combinations(range(self.d.crossings), 2)
+        )
+        return tuple(row for row in rows if row[2] or row[3])
+
+    @cached_property
     def tau_by_classes(self) -> int:
+        """Crossings up to the equivalence generated by parallelism in
+        either Tait graph, by union-find."""
         if self.d.crossings == 0:
             return 0
         self.require_reduced_alternating()
-        g_a, g_b = self.tait
-        return _tau_of_pair(self.d.crossings, g_a.ctx, g_b.ctx)
+        pairs = ((i, j) for i, j, _, _ in self.parallel_crossings)
+        return len(set(union_roots(self.d.crossings, pairs)))
 
     @cached_property
     def tau_by_formula(self) -> int:
@@ -730,9 +730,18 @@ def verify_span(
 def verify_twist_formula(
     d: SurfaceLinkDiagram, *, analysis: DiagramAnalysis | None = None
 ) -> Verdict:
-    """Union-find twist number against lambda + mu + lambda-bar + mu-bar - 2g."""
+    """Union-find twist number against lambda + mu + lambda-bar + mu-bar - 2g.
+
+    Hypothesis: no two crossings are parallel in both Tait graphs.  Such a
+    pair closes a cycle in the graph that joins each crossing's parallel
+    class in G_A to its class in G_B, and the formula falls short of the
+    union-find count by the cycle rank of that graph."""
     a = analysis or DiagramAnalysis(d)
-    by_classes, by_formula = a.tau_by_classes, a.tau_by_formula
+    by_classes = a.tau_by_classes
+    for i, j, in_a, in_b in a.parallel_crossings:
+        if in_a and in_b:
+            raise HypothesisViolated(f"crossings {i} and {j} are parallel in both Tait graphs")
+    by_formula = a.tau_by_formula
     detail = f"union-find {by_classes}, formula {by_formula}"
     return _verdict("twist_formula", by_classes == by_formula, detail)
 

@@ -1,13 +1,14 @@
 """Exact Laurent polynomial arithmetic.
 
-Two representations:
+One ring implementation:
 
 * LaurentPoly — multivariate, integer coefficients, exponents stored as
   scaled integers (per-variable scale d means a stored exponent n denotes
   the power n/d; the default scale 1 is the ordinary integer case).
-* JKPoly — two-variable polynomials in (t, z) where the t-exponent is a
-  quarter-integer stored as 4x its value and the z-exponent is a
-  nonnegative integer.
+* JKPoly — the LaurentPoly ring in (t, z) with scales (4, 1): the
+  t-exponent is a quarter-integer stored as 4x its value and the z-exponent
+  is a nonnegative integer.  It adds the queries J_K needs and renders
+  z first, in ascending (z, t) order.
 
 Both are immutable after construction and hash/compare by value.
 Canonical text looks like ``3*V*X^-1 + 6`` and ``-t^-9/2 + 6*z*t^-3``;
@@ -21,6 +22,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._linalg import add_entry
 from .errors import NonMonomialDenominator, ZeroPolynomial
 
 _TERM_SPLIT = re.compile(r"\s([+-])\s")
@@ -37,6 +39,9 @@ class LaurentPoly:
     """Multivariate Laurent polynomial with integer coefficients."""
 
     __slots__ = ("variables", "scales", "terms")
+    # variable indices in the order their factors are rendered; None means
+    # the order of `variables`
+    _factor_order: tuple[int, ...] | None = None
 
     def __init__(
         self,
@@ -60,6 +65,11 @@ class LaurentPoly:
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover
         raise AttributeError("LaurentPoly is immutable")
+
+    def _like(self, terms: Mapping[tuple[int, ...], int]) -> "LaurentPoly":
+        """A polynomial of this ring and class: the one constructor the ring
+        operations build their results with."""
+        return LaurentPoly(self.variables, terms, self.scales)
 
     # -- constructors ----------------------------------------------------
 
@@ -96,50 +106,44 @@ class LaurentPoly:
         if self.variables != other.variables or self.scales != other.scales:
             raise ValueError("polynomials live in different rings")
 
+    def _constant(self, c: int) -> "LaurentPoly":
+        return self._like({(0,) * len(self.variables): c})
+
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.const(self.variables, other, self.scales)
+            other = self._constant(other)
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = out.get(exps, 0) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return LaurentPoly(self.variables, out, self.scales)
+            add_entry(out, exps, coeff)
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()}, self.scales)
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.const(self.variables, other, self.scales)
+            other = self._constant(other)
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.const(self.variables, other, self.scales)
+            other = self._constant(other)
         self._check_compatible(other)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return LaurentPoly(self.variables, out, self.scales)
+                add_entry(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self._inverse() ** (-n)
-        result = LaurentPoly.const(self.variables, 1, self.scales)
+        result = self._constant(1)
         for _ in range(n):
             result = result * self
         return result
@@ -150,7 +154,7 @@ class LaurentPoly:
         (exps, coeff), = self.terms.items()
         if coeff not in (1, -1):
             raise NonMonomialDenominator(f"cannot invert coefficient {coeff} over the integers")
-        return LaurentPoly(self.variables, {tuple(-e for e in exps): coeff}, self.scales)
+        return self._like({tuple(-e for e in exps): coeff})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -167,7 +171,7 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({'+'.join(self.variables)}: {self.to_text()})"
+        return f"{type(self).__name__}({'+'.join(self.variables)}: {self.to_text()})"
 
     # -- queries ----------------------------------------------------------
 
@@ -211,9 +215,9 @@ class LaurentPoly:
         ring = targets[0]
         for t in targets[1:]:
             ring._check_compatible(t)
-        result = LaurentPoly.zero(ring.variables, ring.scales)
+        result = ring._constant(0)
         for exps, coeff in self.terms.items():
-            prod = LaurentPoly.const(ring.variables, coeff, ring.scales)
+            prod = ring._constant(coeff)
             for target, e in zip(targets, exps):
                 if e:
                     prod = prod * (target ** e)
@@ -223,9 +227,12 @@ class LaurentPoly:
     # -- text / JSON ------------------------------------------------------
 
     def _render_term(self, exps: tuple[int, ...], coeff: int) -> tuple[int, str]:
+        order = self._factor_order or range(len(self.variables))
         factors = [
             name if stored == scale else f"{name}^{_exp_str(stored, scale)}"
-            for name, scale, stored in zip(self.variables, self.scales, exps)
+            for name, scale, stored in (
+                (self.variables[i], self.scales[i], exps[i]) for i in order
+            )
             if stored
         ]
         mag = abs(coeff)
@@ -309,34 +316,41 @@ class LaurentPoly:
                 if stored.denominator != 1:
                     raise ValueError(f"exponent {q} not representable at scale {scales[idx]}")
                 exps[idx] += int(stored)
-            key = tuple(exps)
-            new = terms.get(key, 0) + coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
+            add_entry(terms, tuple(exps), coeff)
         return cls(variables, terms, scales)
 
 
-class JKPoly:
-    """Polynomial in t^(1/4) and z: terms map (t_quarter, z_pow) -> coeff.
+_JK_RING, _JK_SCALES = ("t", "z"), (4, 1)
 
-    t_quarter is 4x the t-exponent; z_pow must be >= 0.
+
+class JKPoly(LaurentPoly):
+    """The LaurentPoly ring in t^(1/4) and z: terms map (t_quarter, z_pow)
+    -> coeff.
+
+    t_quarter is 4x the t-exponent; z_pow must be >= 0.  Terms render z
+    first, in ascending (z, t) order.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _factor_order = (1, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
-        clean: dict[tuple[int, int], int] = {}
-        for (tq, zp), coeff in (terms or {}).items():
+        for _, zp in terms or {}:
             if zp < 0:
                 raise ValueError(f"negative z-power {zp}")
-            if coeff:
-                clean[(int(tq), int(zp))] = int(coeff)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(_JK_RING, terms, _JK_SCALES)
 
-    def __setattr__(self, name: str, value) -> None:  # pragma: no cover
-        raise AttributeError("JKPoly is immutable")
+    def _like(self, terms: Mapping[tuple[int, int], int]) -> "JKPoly":
+        return JKPoly(terms)
+
+    # bound on the class itself, so that tools patching JKPoly's own
+    # methods find them
+    __add__ = __radd__ = LaurentPoly.__add__
+    __sub__ = LaurentPoly.__sub__
+    __neg__ = LaurentPoly.__neg__
+    __mul__ = __rmul__ = LaurentPoly.__mul__
+    to_text = LaurentPoly.to_text
+    to_json = LaurentPoly.to_json
 
     @classmethod
     def zero(cls) -> "JKPoly":
@@ -350,56 +364,6 @@ class JKPoly:
     def const(cls, c: int) -> "JKPoly":
         return cls.term(c, 0, 0)
 
-    def __add__(self, other: "JKPoly | int") -> "JKPoly":
-        if isinstance(other, int):
-            other = JKPoly.const(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return JKPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "JKPoly":
-        return JKPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "JKPoly | int") -> "JKPoly":
-        if isinstance(other, int):
-            other = JKPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other: "JKPoly | int") -> "JKPoly":
-        if isinstance(other, int):
-            other = JKPoly.const(other)
-        out: dict[tuple[int, int], int] = {}
-        for (t1, z1), c1 in self.terms.items():
-            for (t2, z2), c2 in other.terms.items():
-                key = (t1 + t2, z1 + z2)
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return JKPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, JKPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"JKPoly({self.to_text()})"
-
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, t_quarter: int, z_pow: int = 0) -> int:
@@ -409,11 +373,7 @@ class JKPoly:
         """Coefficients of t^(q/4) after setting z = 1."""
         out: dict[int, int] = {}
         for (tq, _), coeff in self.terms.items():
-            new = out.get(tq, 0) + coeff
-            if new:
-                out[tq] = new
-            else:
-                out.pop(tq, None)
+            add_entry(out, tq, coeff)
         return out
 
     def t_span(self) -> Fraction:
@@ -429,14 +389,9 @@ class JKPoly:
     def jones_specialization(self) -> LaurentPoly:
         """Set z = -t^(-1/2) - t^(1/2); returns a Laurent polynomial in t
         (scale 4, so quarter-exponents remain representable)."""
-        binomial = JKPoly({(-2, 0): -1, (2, 0): -1})
-        powers = [JKPoly.const(1)]
-        max_z = max((zp for (_, zp) in self.terms), default=0)
-        for _ in range(max_z):
-            powers.append(powers[-1] * binomial)
         total = JKPoly.zero()
         for (tq, zp), coeff in self.terms.items():
-            total = total + JKPoly.term(coeff, tq) * powers[zp]
+            total = total + JKPoly.term(coeff, tq) * CURVE_BINOMIAL ** zp
         return LaurentPoly(("t",), {(tq,): c for (tq, _), c in total.terms.items()}, (4,))
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
@@ -447,54 +402,22 @@ class JKPoly:
     @classmethod
     def from_laurent(cls, poly: LaurentPoly) -> "JKPoly":
         """Convert from the ring (t scale 4, z scale 1)."""
-        if poly.variables != ("t", "z") or poly.scales != (4, 1):
+        if poly.variables != _JK_RING or poly.scales != _JK_SCALES:
             raise ValueError("expected a polynomial in t (scale 4) and z (scale 1)")
-        return cls({(tq, zp): c for (tq, zp), c in poly.terms.items()})
+        return cls(poly.terms)
 
     def to_laurent(self) -> LaurentPoly:
-        return LaurentPoly(("t", "z"), {k: c for k, c in self.terms.items()}, (4, 1))
-
-    # -- text / JSON ------------------------------------------------------
-
-    def _render_term(self, tq: int, zp: int, coeff: int) -> tuple[int, str]:
-        factors = []
-        if zp:
-            factors.append("z" if zp == 1 else f"z^{zp}")
-        if tq:
-            factors.append("t" if tq == 4 else f"t^{_exp_str(tq, 4)}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{mag}*" + "*".join(factors)
-        return (1 if coeff > 0 else -1), body
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for (tq, zp), coeff in self.sorted_terms():
-            sign, body = self._render_term(tq, zp, coeff)
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if sign > 0 else '-'} {body}")
-        return " ".join(parts)
-
-    def to_json(self) -> list[dict]:
-        return [{"coeff": c, "exps": list(k)} for k, c in self.sorted_terms()]
+        return LaurentPoly(self.variables, self.terms, self.scales)
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "JKPoly":
-        terms: dict[tuple[int, int], int] = {}
-        for row in data:
-            key = (row["exps"][0], row["exps"][1])
-            terms[key] = terms.get(key, 0) + row["coeff"]
-        return cls(terms)
+        return cls.from_laurent(LaurentPoly.from_json(data, _JK_RING, _JK_SCALES))
 
     @classmethod
     def parse(cls, text: str) -> "JKPoly":
-        poly = LaurentPoly.parse(text, ("t", "z"), (4, 1))
-        return cls.from_laurent(poly)
+        return cls.from_laurent(LaurentPoly.parse(text, _JK_RING, _JK_SCALES))
+
+
+# -t^(-1/2) - t^(1/2): a state's weight carries it to the power k(s) - 1,
+# and the Jones specialization sets z to it
+CURVE_BINOMIAL = JKPoly({(-2, 0): -1, (2, 0): -1})

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._linalg import Echelon, Vec
+from ._linalg import Echelon, Vec, add_entry
 from .errors import (
     ContextMismatch,
     DanglingHalfEdge,
@@ -258,25 +258,7 @@ class CombinatorialMap:
         return "\n".join(lines) + "\n"
 
 
-def build_map(
-    rotations: Iterable[Iterable[int]],
-    pairing: Iterable[tuple[int, int]],
-    orientations: Sequence[int] | None = None,
-) -> CombinatorialMap:
-    """Validate and build a combinatorial map; faces and genus are cached."""
-    return CombinatorialMap(rotations, pairing, orientations)
-
-
-def faces(m: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
-    return m.faces
-
-
-def genus(m: CombinatorialMap) -> int:
-    return m.genus
-
-
-def dual(m: CombinatorialMap) -> CombinatorialMap:
-    return m.dual()
+dual = CombinatorialMap.dual
 
 
 def parse_map(text: str) -> CombinatorialMap:
@@ -449,12 +431,7 @@ def chain_of_walk(m: CombinatorialMap, walk: Iterable[int]) -> Vec:
     out: Vec = {}
     for h in walk:
         e = m.edge_of[h]
-        sign = Fraction(1) if h == m.edge_tails[e] else Fraction(-1)
-        new = out.get(e, Fraction(0)) + sign
-        if new:
-            out[e] = new
-        else:
-            out.pop(e, None)
+        add_entry(out, e, Fraction(1) if h == m.edge_tails[e] else Fraction(-1))
     return out
 
 
@@ -466,16 +443,18 @@ def find_root(parent: list[int], x: int) -> int:
     return x
 
 
+def union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of 0..n-1 in the union-find forest joining `pairs`."""
+    parent = list(range(n))
+    for i, j in pairs:
+        ri, rj = find_root(parent, i), find_root(parent, j)
+        if ri != rj:
+            parent[ri] = rj
+    return [find_root(parent, i) for i in range(n)]
+
+
 def _component_count(m: CombinatorialMap, edges: Iterable[int]) -> int:
-    parent = list(range(m.V))
-    count = m.V
-    for e in edges:
-        t, h = m.endpoints(e)
-        a, b = find_root(parent, t), find_root(parent, h)
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
+    return len(set(union_roots(m.V, (m.endpoints(e) for e in edges))))
 
 
 def _neighborhood_stats(m: CombinatorialMap, edges: Iterable[int]) -> tuple[int, int, int, list[tuple[int, ...]]]:
@@ -565,12 +544,7 @@ class HomologyContext:
                         continue
                     t, _ = m.endpoints(e)
                     chain = dict(path[u])
-                    sign = Fraction(1) if t == v else Fraction(-1)
-                    new = chain.get(e, Fraction(0)) + sign
-                    if new:
-                        chain[e] = new
-                    else:
-                        chain.pop(e, None)
+                    add_entry(chain, e, Fraction(1) if t == v else Fraction(-1))
                     path[v] = chain
                     seen.add(v)
                     frontier.append(v)
@@ -580,11 +554,7 @@ class HomologyContext:
             chain: Vec = {e: Fraction(1)}
             for v, sign in ((h, Fraction(1)), (t, Fraction(-1))):
                 for edge, val in path[v].items():
-                    new = chain.get(edge, Fraction(0)) + sign * val
-                    if new:
-                        chain[edge] = new
-                    else:
-                        chain.pop(edge, None)
+                    add_entry(chain, edge, sign * val)
             cycles.append(chain)
         return cycles
 

@@ -11,6 +11,7 @@ from slinv import (
     HomologyContext,
     JKPoly,
     LaurentPoly,
+    MapAnalysis,
     PreconditionError,
     SpanningSubgraph,
     full_report,
@@ -18,7 +19,6 @@ from slinv import (
     jones_krushkal_via_P,
     kauffman_bracket_jones,
     loop_deletion_check,
-    reduce,
     subgraph_profile,
     tau,
     tutte_check,
@@ -128,21 +128,23 @@ def test_coefficient_slots_on_random_ribbon_maps():
     loop_checks = 0
     for m in maps:
         genera_seen.add(m.genus)
-        ctx = HomologyContext(m)
-        data = reduce(m, ctx)
-        verdicts = {v.name: v for v in verify_krushkal_coeffs(m, ctx, data=data)}
+        # one analysis per map: p, P, the reduction and the dual's p are
+        # summed once and shared by every verifier below
+        a = MapAnalysis(m)
+        ctx, data = a.ctx, a.reduced
+        verdicts = {v.name: v for v in verify_krushkal_coeffs(m, ctx, data=data, P=a.P)}
         assert verdicts["mu_coefficient"].passed
         assert verdicts["lambda_coefficient"].passed
         if data.has_3petal:
             assert verdicts["gamma_coefficient"].status == "skipped"
         else:
             assert verdicts["gamma_coefficient"].passed
-        assert verify_polynomial_duality(m, ctx).passed
-        assert verify_subgraph_count(m, ctx).passed
-        assert tutte_check(m, ctx)
+        assert verify_polynomial_duality(m, analysis=a).passed
+        assert verify_subgraph_count(m, analysis=a).passed
+        assert tutte_check(m, analysis=a)
         for e in m.edge_ids:
             if m.is_loop(e) and ctx.in_B({e: Fraction(1)}):
-                assert loop_deletion_check(m, e, ctx)
+                assert loop_deletion_check(m, e, analysis=a)
                 loop_checks += 1
                 break
     elapsed = time.monotonic() - start

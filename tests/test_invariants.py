@@ -10,6 +10,7 @@ from slinv import (
     Coloring,
     CombinatorialMap,
     CrossingCapExceeded,
+    DiagramAnalysis,
     EdgeCapExceeded,
     GenusZero,
     HomologyContext,
@@ -39,6 +40,7 @@ from slinv import (
     twist_regions,
     verify_jk_coefficients,
     verify_krushkal_coeffs,
+    verify_twist_formula,
     volume_bounds,
 )
 from slinv.cli import main
@@ -161,6 +163,43 @@ def test_twist_number_goldens_and_formula_agreement(diagrams):
         d = diagrams[name]
         assert tau(d) == expected, name
         assert tau_formula(d) == expected, name
+
+
+# a c = 4 torus diagram whose crossings 0 and 3 are parallel in both Tait
+# graphs: union-find 3 and twist regions 3, but the formula gives 2
+DOUBLY_PARALLEL = """format sld 1
+crossings 4
+arc 0 0.2 3.1
+arc 1 1.2 2.1
+arc 2 2.0 0.3
+arc 3 3.0 1.1
+arc 4 0.1 3.2
+arc 5 1.3 2.2
+arc 6 2.3 1.0
+arc 7 3.3 0.0
+"""
+
+
+def test_twist_formula_skips_crossings_parallel_in_both_tait_graphs():
+    d = parse_diagram(DOUBLY_PARALLEL)
+    assert (tau(d), tau_formula(d), twist_regions(d)) == (3, 2, 3)
+    with pytest.raises(HypothesisViolated, match="crossings 0 and 3"):
+        verify_twist_formula(d)
+    report = full_report(d)
+    (verdict,) = [v for v in report.verdicts if v.name == "twist_formula"]
+    assert verdict.status == "skipped"
+    assert verdict.detail == "crossings 0 and 3 are parallel in both Tait graphs"
+    assert (report.tau, report.tau_by_formula) == (3, 2)
+
+
+def test_twist_formula_still_fails_on_a_wrong_formula_value(diagrams):
+    d = diagrams["weave2x2.sld"]
+    assert verify_twist_formula(d).passed
+    a = DiagramAnalysis(d)
+    a.tau_by_formula = 5  # overrides the cached property
+    verdict = verify_twist_formula(d, analysis=a)
+    assert verdict.status == "fail"
+    assert verdict.detail == "union-find 4, formula 5"
 
 
 def test_twist_number_requires_alternating(diagrams):
@@ -318,12 +357,15 @@ def test_each_report_computes_each_sum_once(monkeypatch, diagrams, tmp_path):
     )
     loop_map = tmp_path / "trivial_loop.rg"
     loop_map.write_text(corpus_text("trivial_loop.rg"))
+    weave = tmp_path / "weave2x2.sld"
+    weave.write_text(corpus_text("weave2x2.sld"))
     # (run, distinct maps summed over, state sums): G_A, G_B and their duals,
     # plus G - e when a trivial loop is deleted; a map file has G, G*, G - e
     runs = [
         (lambda: full_report(diagrams["weave2x2.sld"]), 4, 1),
         (lambda: full_report(nugatory), 5, 1),
         (lambda: main(["krushkal", str(loop_map)]), 3, 0),
+        (lambda: main(["states", str(weave)]), 0, 1),
     ]
     for run, distinct_maps, state_sums in runs:
         with monkeypatch.context() as patch:
