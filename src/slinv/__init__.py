@@ -21,6 +21,7 @@ from .diagram import (
     parse_diagram,
     reduced_flags,
     serialize_diagram,
+    state_numbers,
     tait_graphs,
     writhe,
 )
@@ -33,9 +34,11 @@ from .errors import (
     EdgeCapExceeded,
     EndpointsDiffer,
     GenusZero,
+    HomologyRankMismatch,
     HypothesisViolated,
     InconsistentOrientation,
     InputError,
+    NegativeGenus,
     NonIntegerGenus,
     NonMonomialDenominator,
     NotALoop,
@@ -96,6 +99,7 @@ from .ribbon import (
     is_isomorphic,
     parallel,
     parse_map,
+    subgraph_numbers,
     subgraph_profile,
 )
 

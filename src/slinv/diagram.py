@@ -7,9 +7,11 @@ crossing, and the strand through {1, 3} is the under-strand.  Arcs are the
 2c edges of the map, directed tail -> head by the link orientation; strand
 continuity inside a crossing joins slot j to slot j+2.
 
-Smoothings follow the convention: the A-smoothing joins slots 0-1 and 2-3,
-the B-smoothing joins 1-2 and 3-0 (calibrated against the known writhe and
-Jones-Krushkal values of the square weave).
+Smoothings follow the convention: the A-smoothing merges the corners between
+slots 0-1 and 2-3 (its curve arcs join slots 1-2 and 3-0), the B-smoothing
+merges the corners between 1-2 and 3-0 (its arcs join 0-1 and 2-3),
+calibrated against the known writhe and Jones-Krushkal values of the square
+weave.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from ._linalg import Vec
 from .errors import (
     BadSlot,
     CrossingCapExceeded,
@@ -28,7 +29,13 @@ from .errors import (
     NotCheckerboardColorable,
     NotFourValent,
 )
-from .ribbon import CombinatorialMap, HomologyContext, chain_of_walk, trivial_loops
+from .ribbon import (
+    CombinatorialMap,
+    HomologyContext,
+    chain_of_walk,
+    component_count,
+    trivial_loops,
+)
 
 End = tuple[int, int]  # (crossing, slot)
 
@@ -338,10 +345,7 @@ def checkerboard(d: SurfaceLinkDiagram) -> Coloring:
     m = d.cmap
     if m is None:
         raise NotCheckerboardColorable("the 0-crossing unknot has no face structure")
-    face_of = [-1] * m.n_half
-    for idx, walk in enumerate(m.faces):
-        for h in walk:
-            face_of[h] = idx
+    face_of = m.face_of
     color: dict[int, int] = {0: 0}
     stack = [0]
     while stack:
@@ -369,15 +373,10 @@ def tait_graphs(d: SurfaceLinkDiagram, coloring: Coloring) -> TaitPair:
     one edge per crossing joining its two same-color corners, with rotations
     read off the face walks."""
     m = d.cmap
-    face_of = [-1] * m.n_half
-    for idx, walk in enumerate(m.faces):
-        for h in walk:
-            face_of[h] = idx
-
     shaded_leading = []
     for cr in range(d.crossings):
         # corner led by slot j belongs to the face of slot j+1
-        shaded_leading.append(0 if coloring.is_shaded(face_of[4 * cr + 1]) else 1)
+        shaded_leading.append(0 if coloring.is_shaded(m.face_of[4 * cr + 1]) else 1)
     shaded_leading = tuple(shaded_leading)
 
     def build(face_set: frozenset[int], leading: Iterable[int]) -> CombinatorialMap:
@@ -421,8 +420,36 @@ def diagram_homology(cmap: CombinatorialMap) -> HomologyContext:
     return HomologyContext(cmap)
 
 
+def _state_curves(m: CombinatorialMap, c: int, mask: int) -> list[list[int]]:
+    """The curves of the state `mask` (bit i set = B at crossing i), each as
+    the half-edges through which it leaves the crossings it passes."""
+    tau = [0] * (4 * c)
+    for cr in range(c):
+        base = 4 * cr
+        for x, y in ((0, 1), (2, 3)) if mask >> cr & 1 else ((1, 2), (3, 0)):
+            tau[base + x] = base + y
+            tau[base + y] = base + x
+    visited = [False] * (4 * c)
+    curves = []
+    for start in range(4 * c):
+        if visited[start]:
+            continue
+        # the curve leaves each crossing through y = tau[h], along its arc
+        walk = []
+        h = start
+        while not visited[h]:
+            visited[h] = True
+            y = tau[h]
+            visited[y] = True
+            walk.append(y)
+            h = m.alpha[y]
+        curves.append(walk)
+    return curves
+
+
 def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[State]:
-    """All 2^c smoothing states, in bitmask order (bit i set = B at crossing i)."""
+    """All 2^c smoothing states, in bitmask order (bit i set = B at crossing i),
+    with the curve rank r and the curves' classes from rational homology."""
     c = d.crossings
     if c > cap:
         raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
@@ -431,37 +458,41 @@ def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[
         return
     m = d.cmap
     ctx = diagram_homology(m)
-    n_half = 4 * c
     for mask in range(1 << c):
-        tau = [0] * n_half
-        choice = []
-        for cr in range(c):
-            base = 4 * cr
-            if (mask >> cr) & 1:
-                choice.append("B")
-                pairs = ((0, 1), (2, 3))
-            else:
-                choice.append("A")
-                pairs = ((1, 2), (3, 0))
-            for x, y in pairs:
-                tau[base + x] = base + y
-                tau[base + y] = base + x
-        visited = [False] * n_half
-        chains: list[Vec] = []
-        for start in range(n_half):
-            if visited[start]:
-                continue
-            # the curve leaves each crossing through y = tau[h], along its arc
-            walk = []
-            h = start
-            while not visited[h]:
-                visited[h] = True
-                y = tau[h]
-                visited[y] = True
-                walk.append(y)
-                h = m.alpha[y]
-            chains.append(chain_of_walk(m, walk))
+        chains = [chain_of_walk(m, walk) for walk in _state_curves(m, c, mask)]
         r = ctx.rank_mod_B(chains)
         curves = tuple(tuple(sorted(ctx.class_of(ch).items())) for ch in chains)
+        choice = tuple("B" if mask >> cr & 1 else "A" for cr in range(c))
         b = mask.bit_count()
-        yield State(choice=tuple(choice), curves=curves, a=c - b, b=b, r=r)
+        yield State(choice=choice, curves=curves, a=c - b, b=b, r=r)
+
+
+def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, int, int]]:
+    """(b, |s|, r) of every smoothing state, in the order of enumerate_states,
+    from integer counts alone.
+
+    The curves cut the surface into R regions.  The regions' boundaries span
+    the relations among the curve classes, with one dependency, so
+    r = |s| - R + 1.  The regions are the faces of the diagram joined through
+    the crossings: the A-smoothing merges the corners led by slots 0 and 2,
+    the B-smoothing those led by 1 and 3, and the corner led by slot j lies
+    in the face of half-edge 4*cr + (j+1) % 4.
+    """
+    c = d.crossings
+    if c > cap:
+        raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
+    if c == 0:
+        yield 0, 1, 0
+        return
+    m = d.cmap
+    face_of = m.face_of
+    for mask in range(1 << c):
+        corners = (
+            (face_of[4 * cr + 2], face_of[4 * cr])
+            if mask >> cr & 1
+            else (face_of[4 * cr + 1], face_of[4 * cr + 3])
+            for cr in range(c)
+        )
+        regions = component_count(m.F, corners)
+        size = len(_state_curves(m, c, mask))
+        yield mask.bit_count(), size, size - regions + 1

@@ -38,6 +38,16 @@ class NonIntegerGenus(SlinvError):
     """V - E + F is odd: the face computation is corrupted."""
 
 
+class NegativeGenus(SlinvError):
+    """V - E + F exceeds 2 on a connected map: the face computation is
+    corrupted."""
+
+
+class HomologyRankMismatch(SlinvError):
+    """The cycle space or face-boundary space of a map has the wrong rank:
+    the rational homology computation is corrupted."""
+
+
 class ContextMismatch(PreconditionError):
     """A homology context was built for a different map."""
 

@@ -32,8 +32,8 @@ from .diagram import (
     State,
     SurfaceLinkDiagram,
     checkerboard,
-    enumerate_states,
     is_alternating,
+    state_numbers,
     tait_flags,
     tait_graphs,
     writhe,
@@ -54,12 +54,11 @@ from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly
 from .ribbon import (
     CombinatorialMap,
     HomologyContext,
-    SpanningSubgraph,
     _component_count,
+    component_count,
     delete_edge,
     is_isomorphic,
-    parallel,
-    subgraph_profile,
+    subgraph_numbers,
     trivial_loops,
     union_roots,
 )
@@ -113,28 +112,21 @@ def _check_crossing_cap(d: SurfaceLinkDiagram, cap: int) -> None:
         raise CrossingCapExceeded(f"{d.crossings} crossings exceed the cap of {cap}")
 
 
-def krushkal(
-    m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
-) -> LaurentPoly:
+def krushkal(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """p_G(x,y,u,v) = sum over spanning subgraphs H of
-    x^(c(H)-c(G)) y^k(H) u^(s(H)/2) v^(s_perp(H)/2)."""
+    x^(c(H)-c(G)) y^k(H) u^(s(H)/2) v^(s_perp(H)/2), each term from the
+    integer counts of subgraph_numbers."""
     _check_edge_cap(m, cap)
-    ctx = ctx or HomologyContext(m)
-    terms: dict[tuple[int, ...], int] = {}
-    edge_list = list(m.edge_ids)
-    for mask in range(1 << len(edge_list)):
-        edges = frozenset(e for i, e in enumerate(edge_list) if mask >> i & 1)
-        prof = subgraph_profile(SpanningSubgraph(m, edges), ctx)
-        key = (prof.components - 1, prof.k, prof.s // 2, prof.s_perp // 2)
-        terms[key] = terms.get(key, 0) + 1
+    terms: Counter[tuple[int, ...]] = Counter()
+    for mask in range(1 << m.E):
+        c, _, s, s_perp, k = subgraph_numbers(m, [e for e in m.edge_ids if mask >> e & 1])
+        terms[(c - 1, k, s // 2, s_perp // 2)] += 1
     return LaurentPoly(P_VARS, terms)
 
 
-def big_P(
-    m: CombinatorialMap, ctx: HomologyContext | None = None, cap: int = DEFAULT_CAP
-) -> LaurentPoly:
+def big_P(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """P_G(X,Y,U,V) = p_G(X-1, Y-1, U, V)."""
-    return _shifted(krushkal(m, ctx, cap))
+    return _shifted(krushkal(m, cap))
 
 
 def _shifted(p: LaurentPoly) -> LaurentPoly:
@@ -261,8 +253,7 @@ def reduce(
     """Reduced-graph statistics; the representative of each parallel class is
     chosen by index rotation so invariance under the choice is testable."""
     ctx = ctx or HomologyContext(m)
-    pairs = itertools.combinations(range(m.E), 2)
-    roots = union_roots(m.E, (pair for pair in pairs if parallel(*pair, ctx)))
+    roots = union_roots(m.E, sorted(ctx.parallel_pairs))
     classes: dict[int, list[int]] = {}
     for e, root in enumerate(roots):
         classes.setdefault(root, []).append(e)
@@ -282,12 +273,12 @@ def reduce(
 
     gamma = 0
     for pair in itertools.combinations(loops, 2):
-        if subgraph_profile(SpanningSubgraph(m, frozenset(pair)), ctx).s > 0:
+        if subgraph_numbers(m, pair)[2] > 0:
             gamma += 1
     has_3petal = False
     for triple in itertools.combinations(loops, 3):
-        prof = subgraph_profile(SpanningSubgraph(m, frozenset(triple)), ctx)
-        if prof.s > 0 and prof.k > 0:
+        _, _, s, _, k = subgraph_numbers(m, triple)
+        if s > 0 and k > 0:
             has_3petal = True
             break
 
@@ -315,7 +306,7 @@ def verify_krushkal_coeffs(
     ctx = ctx or HomologyContext(m)
     data = data if data is not None else reduce(m, ctx)
     g = m.genus
-    P = P if P is not None else big_P(m, ctx, cap)
+    P = P if P is not None else big_P(m, cap)
     n = m.V - 1
     k = data.trivial_loops_deleted
     out = []
@@ -364,20 +355,21 @@ def _weight(b_minus_a: int, r: int, k: int) -> JKPoly:
     return JKPoly.term(1, b_minus_a, r) * CURVE_BINOMIAL ** (k - 1)
 
 
-def _state_sum(d: SurfaceLinkDiagram, states: Iterable[State]) -> tuple[JKPoly, int]:
-    """One pass over the states of a colorable diagram: the state sum of
-    J_K, and the number of states with k(s) < 1, which the sum skips (their
-    weight is undefined, and none should exist).  The states are tallied by
-    (b - a, r, k), all their weight depends on, and J_K is built once from
-    the tally."""
-    w = writhe(d)
+def _state_sum(d: SurfaceLinkDiagram, rows: Iterable[tuple[int, int, int]]) -> tuple[JKPoly, int]:
+    """One pass over the (b, |s|, r) rows of the states of a colorable
+    diagram: the state sum of J_K, and the number of states with
+    k(s) = |s| - r < 1, which the sum skips (their weight is undefined, and
+    none should exist).  The states are tallied by (b - a, r, k), all their
+    weight depends on, and J_K is built once from the tally."""
+    c, w = d.crossings, writhe(d)
     tally: Counter[tuple[int, int, int]] = Counter()
     bad = 0
-    for s in states:
-        if s.k < 1:
+    for b, size, r in rows:
+        k = size - r
+        if k < 1:
             bad += 1
             continue
-        tally[(s.b - s.a, s.r, s.k)] += 1
+        tally[(2 * b - c, r, k)] += 1
     total = sum((n * _weight(*key) for key, n in tally.items()), JKPoly.zero())
     return JKPoly.term(1 if w % 2 == 0 else -1, 3 * w) * total, bad
 
@@ -484,7 +476,7 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
     if d.crossings == 0:
         return 0
     bigons = ((walk[0] // 4, walk[1] // 4) for walk in d.cmap.faces if len(walk) == 2)
-    return len(set(union_roots(d.crossings, bigons)))
+    return component_count(d.crossings, bigons)
 
 
 # -- one analysis per input ----------------------------------------------------------
@@ -508,7 +500,7 @@ class MapAnalysis:
 
     @cached_property
     def p(self) -> LaurentPoly:
-        return krushkal(self.map, self.ctx, self.cap)
+        return krushkal(self.map, self.cap)
 
     @cached_property
     def P(self) -> LaurentPoly:
@@ -587,8 +579,11 @@ class DiagramAnalysis:
         if self.d.crossings == 0:
             return JKPoly.const(1), 0
         self.coloring()  # raises on a non-colorable diagram
-        states = self._states if self._states is not None else enumerate_states(self.d, self.cap)
-        return _state_sum(self.d, states)
+        if self._states is None:
+            rows = state_numbers(self.d, self.cap)
+        else:
+            rows = ((s.b, s.size, s.r) for s in self._states)
+        return _state_sum(self.d, rows)
 
     @property
     def jk(self) -> JKPoly:
@@ -615,12 +610,8 @@ class DiagramAnalysis:
         crossings parallel in at least one Tait graph."""
         if self.d.crossings == 0:
             return ()
-        g_a, g_b = self.tait
-        rows = (
-            (i, j, parallel(i, j, g_a.ctx), parallel(i, j, g_b.ctx))
-            for i, j in itertools.combinations(range(self.d.crossings), 2)
-        )
-        return tuple(row for row in rows if row[2] or row[3])
+        in_a, in_b = (g.ctx.parallel_pairs for g in self.tait)
+        return tuple((i, j, (i, j) in in_a, (i, j) in in_b) for i, j in sorted(in_a | in_b))
 
     @cached_property
     def tau_by_classes(self) -> int:
@@ -630,7 +621,7 @@ class DiagramAnalysis:
             return 0
         self.require_reduced_alternating()
         pairs = ((i, j) for i, j, _, _ in self.parallel_crossings)
-        return len(set(union_roots(self.d.crossings, pairs)))
+        return component_count(self.d.crossings, pairs)
 
     @cached_property
     def tau_by_formula(self) -> int:

@@ -19,6 +19,7 @@ as Z1(G)/B where B is the span of the face-boundary chains.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,9 @@ from .errors import (
     DanglingHalfEdge,
     Disconnected,
     EndpointsDiffer,
+    HomologyRankMismatch,
     InputError,
+    NegativeGenus,
     NonIntegerGenus,
     NotALoop,
     NotInvolution,
@@ -49,6 +52,7 @@ class CombinatorialMap:
         "vertex_of",
         "edge_of",
         "faces",
+        "face_of",
         "genus",
     )
 
@@ -169,14 +173,20 @@ class CombinatorialMap:
                     h = sigma[alpha[h]]
                 orbit_list.append(tuple(walk))
         orbit_list.sort(key=lambda w: w[0] if w else -1)
+        face_of = [-1] * n_half
+        for idx, walk in enumerate(orbit_list):
+            for h in walk:
+                face_of[h] = idx
         object.__setattr__(self, "faces", tuple(orbit_list))
+        object.__setattr__(self, "face_of", tuple(face_of))
 
         V, E, F = len(canon), n_half // 2, len(orbit_list)
         euler_defect = 2 - (V - E + F)
         if euler_defect % 2:
             raise NonIntegerGenus(f"V-E+F = {V - E + F} is odd")
         g = euler_defect // 2
-        assert g >= 0, "negative genus from a rotation system"
+        if g < 0:
+            raise NegativeGenus(f"V-E+F = {V - E + F} exceeds 2 on a connected map")
         object.__setattr__(self, "genus", g)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover
@@ -443,18 +453,31 @@ def find_root(parent: list[int], x: int) -> int:
     return x
 
 
-def union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """The root of each of 0..n-1 in the union-find forest joining `pairs`."""
-    parent = list(range(n))
+def _join(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
+    """Join `pairs` in the union-find forest `parent`; the number of merges."""
+    merges = 0
     for i, j in pairs:
         ri, rj = find_root(parent, i), find_root(parent, j)
         if ri != rj:
             parent[ri] = rj
+            merges += 1
+    return merges
+
+
+def union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of 0..n-1 in the union-find forest joining `pairs`."""
+    parent = list(range(n))
+    _join(parent, pairs)
     return [find_root(parent, i) for i in range(n)]
 
 
+def component_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """The number of classes of 0..n-1 once `pairs` are joined."""
+    return n - _join(list(range(n)), pairs)
+
+
 def _component_count(m: CombinatorialMap, edges: Iterable[int]) -> int:
-    return len(set(union_roots(m.V, (m.endpoints(e) for e in edges))))
+    return component_count(m.V, (m.endpoints(e) for e in edges))
 
 
 def _neighborhood_stats(m: CombinatorialMap, edges: Iterable[int]) -> tuple[int, int, int, list[tuple[int, ...]]]:
@@ -468,6 +491,46 @@ def _neighborhood_stats(m: CombinatorialMap, edges: Iterable[int]) -> tuple[int,
     # per-component 2g sums to 2c - (V - E + bc)
     s = 2 * c - (m.V - len(edges) + bc)
     return c, bc, s, walks
+
+
+def subgraph_numbers(m: CombinatorialMap, edges: Iterable[int]) -> tuple[int, int, int, int, int]:
+    """(c, bc, s, s_perp, k) of the spanning subgraph H on `edges`, from
+    integer counts alone; subgraph_profile computes the same numbers with
+    rational homology.
+
+    c comes from a union-find on the vertices over H, and the dual's
+    component count c* from a union-find on the faces (the dual's vertices)
+    over E - H.  bc counts H's boundary walks plus its isolated vertices; the
+    complement of H's neighborhood has the same boundary, so bc is also the
+    boundary count of E - H in the dual.  Then
+        s = 2c - (V - |H| + bc),   s_perp = 2c* - (F - |E - H| + bc),
+        k = (|H| - V + c) - g - s/2 + s_perp/2.
+    """
+    sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
+    in_h = [False] * m.n_half
+    for e in edges:
+        t = m.edge_tails[e]
+        in_h[t] = in_h[alpha[t]] = True
+    inside = [(t, alpha[t]) for t in m.edge_tails if in_h[t]]
+    outside = [(t, alpha[t]) for t in m.edge_tails if not in_h[t]]
+    c = component_count(m.V, ((vertex_of[t], vertex_of[h]) for t, h in inside))
+    c_star = component_count(m.F, ((face_of[t], face_of[h]) for t, h in outside))
+    bc = m.V - len({vertex_of[h] for h in range(m.n_half) if in_h[h]})
+    seen = [False] * m.n_half
+    for start in range(m.n_half):
+        if not in_h[start] or seen[start]:
+            continue
+        bc += 1
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            h = sigma[alpha[h]]
+            while not in_h[h]:
+                h = sigma[h]
+    s = 2 * c - (m.V - len(inside) + bc)
+    s_perp = 2 * c_star - (m.F - len(outside) + bc)
+    k = (len(inside) - m.V + c) - m.genus - s // 2 + s_perp // 2
+    return c, bc, s, s_perp, k
 
 
 # -- homology ----------------------------------------------------------------
@@ -492,13 +555,21 @@ class HomologyContext:
         for walk in m.faces:
             self.face_space.insert(chain_of_walk(m, walk))
 
-        assert len(self.cycle_basis) == m.E - m.V + 1
-        assert self.face_space.rank == m.F - 1 or m.E == 0
-        assert len(self.cycle_basis) - self.face_space.rank == self.h1_dim or m.E == 0
+        ranks = (len(self.cycle_basis), self.face_space.rank)
+        if ranks != (m.E - m.V + 1, m.F - 1):
+            raise HomologyRankMismatch(
+                f"cycle and face ranks {ranks} on a map with V={m.V}, E={m.E}, F={m.F}"
+            )
 
     @cached_property
     def dual_map(self) -> CombinatorialMap:
         return self.map.dual()
+
+    @cached_property
+    def parallel_pairs(self) -> frozenset[tuple[int, int]]:
+        """The pairs e < f of parallel edges, each pair decided once."""
+        pairs = itertools.combinations(self.map.edge_ids, 2)
+        return frozenset(pair for pair in pairs if parallel(*pair, self))
 
     # -- class arithmetic --------------------------------------------------
 

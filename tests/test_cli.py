@@ -2,7 +2,7 @@
 
 import json
 
-from slinv import parse_diagram, parse_map
+from slinv import HomologyContext, NegativeGenus, parse_diagram, parse_map
 from slinv.cli import main
 
 from conftest import corpus_text
@@ -199,6 +199,22 @@ def test_missing_input_file(tmp_path, capsys):
         code, out, err = run(capsys, ["invariants", str(path)])
         assert (code, out) == (1, ""), name
         assert err.startswith("error: bad "), name
+
+
+def test_internal_consistency_errors_exit_2(tmp_path, capsys, monkeypatch):
+    path = write_corpus(tmp_path, "torus_bouquet.rg")
+    with monkeypatch.context() as patch:
+        patch.setattr(HomologyContext, "fundamental_cycles_of", lambda self, edges: [])
+        code, out, err = run(capsys, ["krushkal", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cycle and face ranks")
+
+    def negative_genus(text):
+        raise NegativeGenus("V-E+F = 4 exceeds 2 on a connected map")
+
+    monkeypatch.setattr("slinv.cli.parse_map", negative_genus)
+    code, out, err = run(capsys, ["krushkal", path])
+    assert (code, out, err) == (2, "", "error: V-E+F = 4 exceeds 2 on a connected map\n")
 
 
 def test_crossing_cap_blocks_enumeration(tmp_path, capsys):

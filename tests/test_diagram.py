@@ -20,13 +20,14 @@ from slinv import (
     parse_diagram,
     reduced_flags,
     serialize_diagram,
+    state_numbers,
     subgraph_profile,
     tait_graphs,
     tau,
     twist_regions,
     writhe,
 )
-from conftest import SLD_NAMES, corpus_text
+from conftest import SLD_NAMES, corpus_text, sample_torus_diagrams
 
 CURL = "format sld 1\ncrossings 1\narc 0 0.0 0.3\narc 1 0.1 0.2\n"
 UNKNOT = "format sld 1\ncrossings 0\n"
@@ -257,6 +258,23 @@ def test_auto_orient_keeps_the_lowest_arc_direction():
 def test_state_enumeration_respects_the_cap(diagrams):
     with pytest.raises(CrossingCapExceeded):
         list(enumerate_states(diagrams["trefoil.sld"], cap=2))
+    with pytest.raises(CrossingCapExceeded):
+        list(state_numbers(diagrams["trefoil.sld"], cap=2))
+
+
+def test_state_numbers_match_the_homology_states(diagrams, random_diagrams):
+    """The integer (b, |s|, r) rows against the rational-homology states, on
+    every state of the corpus (the non-colorable knot and the 0-crossing
+    unknot included) and of seeded random torus diagrams up to 8 crossings."""
+    labelled = list(diagrams.items()) + [("unknot", parse_diagram(UNKNOT))]
+    labelled += [(f"random[{i}]", d) for i, d in enumerate(random_diagrams)]
+    labelled += [
+        (f"random c<=8 [{i}]", d)
+        for i, d in enumerate(sample_torus_diagrams(seed=3141, count=10, c_lo=7, c_hi=8))
+    ]
+    for name, d in labelled:
+        expected = [(s.b, s.size, s.r) for s in enumerate_states(d)]
+        assert list(state_numbers(d)) == expected, name
 
 
 def test_states_match_shaded_graph_subgraph_profiles(colorable_diagrams, random_diagrams):

@@ -2,7 +2,10 @@
 the two Jones routes, and the aggregate report."""
 
 import json
+import math
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -370,13 +373,63 @@ def test_each_report_computes_each_sum_once(monkeypatch, diagrams, tmp_path):
     for run, distinct_maps, state_sums in runs:
         with monkeypatch.context() as patch:
             sums = _count_calls(patch, "krushkal", slinv.invariants.krushkal)
+            # the report sums integer rows, `slinv states` its State table
+            rows = _count_calls(patch, "state_numbers", slinv.diagram.state_numbers)
             states = _count_calls(patch, "enumerate_states", slinv.diagram.enumerate_states)
             taits = _count_calls(patch, "tait_graphs", slinv.diagram.tait_graphs)
             run()
         summed = [args[0] for args in sums]
         assert len(summed) == len(set(summed)) == distinct_maps
-        assert len(states) == state_sums
+        assert len(rows) + len(states) == state_sums
         assert len(taits) <= 1
+
+
+# a nugatory-free c = 10 torus diagram, so that the report reaches the twist
+# number as well as the reduction of both Tait graphs
+REDUCED_C10_ARCS = (
+    "0.0 1.3", "1.2 6.1", "2.0 7.3", "3.2 9.3", "4.2 5.1", "5.2 8.3", "6.0 4.3",
+    "7.0 2.3", "8.2 3.1", "9.0 0.3", "0.1 5.0", "1.1 6.2", "2.1 3.0", "3.3 2.2",
+    "4.1 8.0", "5.3 0.2", "6.3 9.2", "7.1 4.0", "8.1 1.0", "9.1 7.2",
+)
+
+
+def test_each_report_decides_each_crossing_pair_once(monkeypatch):
+    """reduce and the twist number read one set of parallel pairs per Tait
+    graph: at most C(c, 2) `parallel` calls on each."""
+    import slinv.ribbon
+
+    lines = [f"arc {a} {ends}" for a, ends in enumerate(REDUCED_C10_ARCS)]
+    d = parse_diagram("\n".join(["format sld 1", "crossings 10", *lines]) + "\n")
+    assert reduced_flags(d).nugatory_free
+    calls = _count_calls(monkeypatch, "parallel", slinv.ribbon.parallel)
+    assert full_report(d).tau == 6
+    per_map = Counter(args[2].map for args in calls)
+    assert len(per_map) == 2
+    assert max(per_map.values()) <= math.comb(d.crossings, 2)
+
+
+def test_the_sums_build_no_fractions():
+    """The 2^E subgraph sum and the 2^c state sum run on integer counts."""
+    (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=8, c_hi=8)
+    g_a = tait_graphs(d, checkerboard(d)).g_a
+    analysis = DiagramAnalysis(d)
+    analysis.coloring()
+    built = []
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        krushkal(g_a)
+        analysis.state_sum
+        assert built == []
+        Fraction(1, 2)
+        assert built == [(1, 2)]  # the counter does see a new Fraction
+    finally:
+        Fraction.__new__ = original
 
 
 def test_reports_serialize_to_json(diagrams):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slinv import (
     CombinatorialMap,
@@ -13,12 +15,14 @@ from slinv import (
     Disconnected,
     EndpointsDiffer,
     HomologyContext,
+    HomologyRankMismatch,
     InputError,
     NotALoop,
     NotInvolution,
     SpanningSubgraph,
     boundary_walks,
     chain_of_walk,
+    checkerboard,
     cycle_of_pair,
     delete_edge,
     dual,
@@ -26,9 +30,11 @@ from slinv import (
     is_isomorphic,
     parallel,
     parse_map,
+    subgraph_numbers,
     subgraph_profile,
+    tait_graphs,
 )
-from conftest import RG_NAMES, corpus_text
+from conftest import RG_NAMES, corpus_text, sample_ribbon_maps, sample_torus_diagrams
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +81,60 @@ def test_perpendicular_genus_two_ways(exhaustive_profiles):
     for name, m, prof in exhaustive_profiles:
         rearranged = 2 * (prof.k + m.genus + prof.s // 2 - prof.b1)
         assert prof.s_perp == rearranged, f"{name}: {prof}"
+
+
+def assert_numbers_match_profiles(name, m):
+    """subgraph_numbers against the rational-homology profile, field by
+    field, on every spanning subgraph of m."""
+    ctx = HomologyContext(m)
+    for mask in range(1 << m.E):
+        edges = [e for e in m.edge_ids if mask >> e & 1]
+        prof = subgraph_profile(SpanningSubgraph(m, frozenset(edges)), ctx)
+        expected = (prof.components, prof.boundary_count, prof.s, prof.s_perp, prof.k)
+        assert subgraph_numbers(m, edges) == expected, (name, edges)
+
+
+def test_subgraph_numbers_match_the_homology_profiles(study_maps):
+    labelled = list(study_maps.items())
+    for i, m in enumerate(sample_ribbon_maps(seed=2718, count=40, genera=(1, 2, 3))):
+        labelled.append((f"random map {i} (genus {m.genus})", m))
+    for i, d in enumerate(sample_torus_diagrams(seed=1618, count=12, c_lo=3, c_hi=7)):
+        pair = tait_graphs(d, checkerboard(d))
+        labelled += [(f"random diagram {i}: G_A", pair.g_a), (f"random diagram {i}: G_B", pair.g_b)]
+    assert {m.genus for _, m in labelled} >= {0, 1, 2, 3}
+    for name, m in labelled:
+        assert_numbers_match_profiles(name, m)
+
+
+@st.composite
+def rotation_systems(draw):
+    """A random rotation system with 1-6 edges on 1-4 vertices: a shuffle of
+    the half-edges cut into vertex rotations, half-edges 2e and 2e+1 paired."""
+    n_edges = draw(st.integers(1, 6))
+    n_vertices = draw(st.integers(1, min(4, 2 * n_edges)))
+    halves = draw(st.permutations(range(2 * n_edges)))
+    cuts = draw(
+        st.lists(
+            st.integers(1, 2 * n_edges - 1),
+            min_size=n_vertices - 1,
+            max_size=n_vertices - 1,
+            unique=True,
+        )
+    )
+    bounds = [0, *sorted(cuts), 2 * n_edges]
+    rotations = [halves[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return rotations, [(2 * e, 2 * e + 1) for e in range(n_edges)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rotation_systems())
+def test_subgraph_numbers_property(system):
+    rotations, pairing = system
+    try:
+        m = CombinatorialMap(rotations, pairing)
+    except Disconnected:
+        return
+    assert_numbers_match_profiles("drawn map", m)
 
 
 def test_profiles_of_the_one_vertex_torus_map(maps):
@@ -171,6 +231,13 @@ def test_homology_context_dimensions(study_maps, random_maps):
         ctx = HomologyContext(m)
         assert ctx.h1_dim == 2 * m.genus
         assert len(ctx.cycle_basis) == m.E - m.V + 1
+
+
+def test_homology_ranks_are_checked_without_assert(maps, monkeypatch):
+    m = maps["torus_bouquet.rg"]
+    monkeypatch.setattr(HomologyContext, "fundamental_cycles_of", lambda self, edges: [])
+    with pytest.raises(HomologyRankMismatch):
+        HomologyContext(m)
 
 
 def test_context_for_the_wrong_map_is_rejected(maps):
