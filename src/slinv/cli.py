@@ -13,7 +13,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .diagram import DEFAULT_CAP, SurfaceLinkDiagram, enumerate_states, parse_diagram, writhe
+from .diagram import (
+    DEFAULT_CAP,
+    SurfaceLinkDiagram,
+    enumerate_states,
+    parse_diagram,
+    state_numbers,
+    writhe,
+)
 from .errors import InputError, NonIntegerGenus, PreconditionError, SlinvError
 from .invariants import (
     FORMAL_BOUNDS_NOTE,
@@ -87,7 +94,7 @@ def _verdict_lines(verdicts) -> list[str]:
 
 def _map_verdicts(a: MapAnalysis) -> list[Verdict]:
     m = a.map
-    rows = list(verify_krushkal_coeffs(m, a.ctx, data=a.reduced, P=a.P))
+    rows = list(verify_krushkal_coeffs(m, analysis=a))
     rows.append(verify_polynomial_duality(m, analysis=a))
     rows.append(verify_subgraph_count(m, analysis=a))
     rows.append(_tutte_verdict(a))
@@ -213,33 +220,37 @@ def cmd_verify(args) -> int:
 def cmd_states(args) -> int:
     d = _load_diagram(args.path, args)
     cap = _cap(args)
-    # one enumeration feeds both the table and the state sum
-    states = list(enumerate_states(d, cap))
+    c = d.crossings
+    # one enumeration feeds both the table and the state sum: the integer
+    # rows, or under --dump the States, whose curve classes need homology
+    if args.dump:
+        states = list(enumerate_states(d, cap))
+        numbers = [(s.b, s.size, s.r) for s in states]
+    else:
+        numbers = list(state_numbers(d, cap))
     try:
-        jk = DiagramAnalysis(d, cap, states).jk
+        jk = DiagramAnalysis(d, cap, numbers).jk
         jk_note = None
     except PreconditionError as exc:
         jk, jk_note = None, str(exc)
     w = writhe(d)
     rows = []
-    for s in states:
-        if s.k >= 1:
-            weight_text = _weight(s.b - s.a, s.r, s.k).to_text()
-        else:
-            # reduced weight carries (-t^-1/2 - t^1/2)^(k-1), undefined at k=0
-            weight_text = None
+    for mask, (b, size, r) in enumerate(numbers):
+        k = size - r
+        # reduced weight carries (-t^-1/2 - t^1/2)^(k-1), undefined at k=0
+        weight_text = _weight(2 * b - c, r, k).to_text() if k >= 1 else None
         row = {
-            "choice": "".join(s.choice),
-            "a": s.a,
-            "b": s.b,
-            "size": s.size,
-            "k": s.k,
-            "r": s.r,
+            "choice": "".join("B" if mask >> cr & 1 else "A" for cr in range(c)),
+            "a": c - b,
+            "b": b,
+            "size": size,
+            "k": k,
+            "r": r,
             "weight": weight_text,
         }
         if args.dump:
             row["curves"] = [
-                [[e, str(coeff)] for e, coeff in curve] for curve in s.curves
+                [[e, str(coeff)] for e, coeff in curve] for curve in states[mask].curves
             ]
         rows.append(row)
     obj = {

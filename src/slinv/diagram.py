@@ -204,7 +204,8 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
             raise InputError("a 0-crossing diagram cannot have arcs")
         return SurfaceLinkDiagram(0, (), None, ((),))
 
-    if sorted(arc_rows) != list(range(2 * n_crossings)):
+    # compare the counts first, so an absurd crossing count builds no range
+    if len(arc_rows) != 2 * n_crossings or sorted(arc_rows) != list(range(len(arc_rows))):
         raise InputError(f"need arc ids dense 0..{2 * n_crossings - 1}")
 
     # rotate slots of crossings whose over-strand was declared on {1,3}

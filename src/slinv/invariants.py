@@ -29,7 +29,6 @@ from .diagram import (
     DEFAULT_CAP,
     Coloring,
     ReducedFlags,
-    State,
     SurfaceLinkDiagram,
     checkerboard,
     is_alternating,
@@ -57,7 +56,7 @@ from .ribbon import (
     _component_count,
     component_count,
     delete_edge,
-    is_isomorphic,
+    dual,
     subgraph_numbers,
     trivial_loops,
     union_roots,
@@ -174,15 +173,11 @@ def _whitney_rank(edges: list[tuple[int, int]]) -> LaurentPoly:
 
 
 def tutte_check(
-    m: CombinatorialMap,
-    ctx: HomologyContext | None = None,
-    cap: int = DEFAULT_CAP,
-    *,
-    analysis: MapAnalysis | None = None,
+    m: CombinatorialMap, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
 ) -> bool:
     """Whether y^g * p_G(x, y, y, 1/y) equals the Whitney rank polynomial of
     the underlying abstract graph, the latter computed by deletion-contraction."""
-    p = (analysis or MapAnalysis(m, cap, ctx)).p
+    p = (analysis or MapAnalysis(m, cap)).p
     ring = ("x", "y")
     x = LaurentPoly.var(ring, "x")
     y = LaurentPoly.var(ring, "y")
@@ -194,15 +189,10 @@ def tutte_check(
 
 
 def loop_deletion_check(
-    m: CombinatorialMap,
-    e: int,
-    ctx: HomologyContext | None = None,
-    cap: int = DEFAULT_CAP,
-    *,
-    analysis: MapAnalysis | None = None,
+    m: CombinatorialMap, e: int, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
 ) -> bool:
     """Whether p_G = (1+y) * p_(G-e) for a homologically trivial loop e."""
-    a = analysis or MapAnalysis(m, cap, ctx)
+    a = analysis or MapAnalysis(m, cap)
     if not m.is_loop(e):
         raise NotTrivialLoop(f"edge {e} is not a loop")
     if not a.ctx.in_B({e: Fraction(1)}):
@@ -294,19 +284,19 @@ def reduce(
 
 def verify_krushkal_coeffs(
     m: CombinatorialMap,
-    ctx: HomologyContext | None = None,
     cap: int = DEFAULT_CAP,
     data: ReducedGraphData | None = None,
-    P: LaurentPoly | None = None,
+    *,
+    analysis: MapAnalysis | None = None,
 ) -> list[Verdict]:
     """Compare mu, lambda, gamma against the coefficients of P they predict:
     mu = [V^g X^(n-1) Y^k] P, lambda = [V^(g-1) X^n Y^k] P, and (absent
     3-petal loops) gamma = [U V^(g-1) X^n Y^k] P, where k counts the trivial
-    loops and n = |V| - 1."""
-    ctx = ctx or HomologyContext(m)
-    data = data if data is not None else reduce(m, ctx)
+    loops and n = |V| - 1.  `data` replaces the analysis's own reduction."""
+    a = analysis or MapAnalysis(m, cap)
+    data = data if data is not None else a.reduced
     g = m.genus
-    P = P if P is not None else big_P(m, cap)
+    P = a.P
     n = m.V - 1
     k = data.trivial_loops_deleted
     out = []
@@ -484,15 +474,12 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
 
 class MapAnalysis:
     """The homology context, p, P, reduction and dual of one map, each
-    computed at most once, on first use."""
+    computed at most once, on first use.  DiagramAnalysis.tait sets the dual
+    of each Tait graph to the other one."""
 
-    def __init__(
-        self, m: CombinatorialMap, cap: int = DEFAULT_CAP, ctx: HomologyContext | None = None
-    ) -> None:
+    def __init__(self, m: CombinatorialMap, cap: int = DEFAULT_CAP) -> None:
         self.map = m
         self.cap = cap
-        if ctx is not None:
-            self.ctx = ctx  # fills the cached property below
 
     @cached_property
     def ctx(self) -> HomologyContext:
@@ -522,14 +509,18 @@ class DiagramAnalysis:
     specialization of J_K, the crossing pairs parallel in a Tait graph and
     both twist numbers.  A piece whose hypotheses fail raises the
     PreconditionError of the public function that computes it alone.  Given
-    `states`, the state sum reads them instead of enumerating its own."""
+    the (b, |s|, r) `rows` of state_numbers, the state sum reads them instead
+    of enumerating its own."""
 
     def __init__(
-        self, d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, states: Iterable[State] | None = None
+        self,
+        d: SurfaceLinkDiagram,
+        cap: int = DEFAULT_CAP,
+        rows: Iterable[tuple[int, int, int]] | None = None,
     ) -> None:
         self.d = d
         self.cap = cap
-        self._states = states
+        self._rows = rows
 
     @cached_property
     def alternating(self) -> bool:
@@ -556,9 +547,13 @@ class DiagramAnalysis:
 
     @cached_property
     def tait(self) -> tuple[MapAnalysis, MapAnalysis]:
-        """(G_A, G_B)."""
+        """(G_A, G_B), each the other's dual: dual(G_B) is G_A, and dual(G_A)
+        is G_B up to the isomorphism alpha (see ribbon), so each Tait graph
+        is summed once."""
         pair = tait_graphs(self.d, self.coloring())
-        return MapAnalysis(pair.g_a, self.cap), MapAnalysis(pair.g_b, self.cap)
+        g_a, g_b = MapAnalysis(pair.g_a, self.cap), MapAnalysis(pair.g_b, self.cap)
+        g_a.dual, g_b.dual = g_b, g_a  # fill the cached property
+        return g_a, g_b
 
     @cached_property
     def flags(self) -> ReducedFlags:
@@ -579,10 +574,7 @@ class DiagramAnalysis:
         if self.d.crossings == 0:
             return JKPoly.const(1), 0
         self.coloring()  # raises on a non-colorable diagram
-        if self._states is None:
-            rows = state_numbers(self.d, self.cap)
-        else:
-            rows = ((s.b, s.size, s.r) for s in self._states)
+        rows = state_numbers(self.d, self.cap) if self._rows is None else self._rows
         return _state_sum(self.d, rows)
 
     @property
@@ -634,9 +626,9 @@ class DiagramAnalysis:
 
 # -- verifiers ---------------------------------------------------------------------
 #
-# The verifiers take optional shared work -- an `analysis` of their input, or
-# `data` and `P` for verify_krushkal_coeffs -- through which full_report
-# computes each intermediate result once.  A given analysis brings its cap.
+# The verifiers take optional shared work, an `analysis` of their input,
+# through which full_report computes each intermediate result once.  A given
+# analysis brings its cap.
 
 
 def verify_route_equality(
@@ -740,21 +732,19 @@ def verify_twist_formula(
 def verify_tait_duality(
     d: SurfaceLinkDiagram, *, analysis: DiagramAnalysis | None = None
 ) -> Verdict:
-    """The unshaded Tait graph is the dual map of the shaded one."""
+    """The unshaded Tait graph is the dual map of the shaded one: dual(G_B)
+    equals G_A exactly, with dual() applied to G_B's own map."""
     g_a, g_b = (analysis or DiagramAnalysis(d)).tait
-    ok = is_isomorphic(g_b.map, g_a.dual.map)
+    ok = dual(g_b.map) == g_a.map
     return _verdict("tait_duality", ok, "G_B compared with dual(G_A)")
 
 
 def verify_polynomial_duality(
-    m: CombinatorialMap,
-    ctx: HomologyContext | None = None,
-    cap: int = DEFAULT_CAP,
-    *,
-    analysis: MapAnalysis | None = None,
+    m: CombinatorialMap, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
 ) -> Verdict:
-    """p_G(x,y,u,v) = p_G*(y,x,v,u), with p_G* summed over the dual map."""
-    analysis = analysis or MapAnalysis(m, cap, ctx)
+    """p_G(x,y,u,v) = p_G*(y,x,v,u), with p_G* summed over the dual map (over
+    the other Tait graph, in a DiagramAnalysis)."""
+    analysis = analysis or MapAnalysis(m, cap)
     p = analysis.p
     q = analysis.dual.p
     swapped = LaurentPoly(
@@ -766,14 +756,10 @@ def verify_polynomial_duality(
 
 
 def verify_subgraph_count(
-    m: CombinatorialMap,
-    ctx: HomologyContext | None = None,
-    cap: int = DEFAULT_CAP,
-    *,
-    analysis: MapAnalysis | None = None,
+    m: CombinatorialMap, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
 ) -> Verdict:
     """P(2,2,1,1) counts all spanning subgraphs: 2^E."""
-    P = (analysis or MapAnalysis(m, cap, ctx)).P
+    P = (analysis or MapAnalysis(m, cap)).P
     value = P.evaluate({"X": 2, "Y": 2, "U": 1, "V": 1})
     return _verdict(
         "subgraph_count", value == 2**m.E, f"P(2,2,1,1) = {value}, 2^E = {2 ** m.E}"
@@ -950,7 +936,7 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
         for side, graph in (("G_A", g_a), ("G_B", g_b)):
             result = verify_polynomial_duality(graph.map, analysis=graph)
             verdicts.append(Verdict(f"polynomial_duality[{side}]", result.status, result.detail))
-            rows = verify_krushkal_coeffs(graph.map, graph.ctx, data=graph.reduced, P=graph.P)
+            rows = verify_krushkal_coeffs(graph.map, analysis=graph)
             verdicts.extend(Verdict(f"{row.name}[{side}]", row.status, row.detail) for row in rows)
         verdicts.append(verify_subgraph_count(g_a.map, analysis=g_a))
         verdicts.append(_tutte_verdict(g_a))

@@ -4,12 +4,11 @@ A map is a rotation system: half-edges 0..2m-1, a permutation sigma whose
 cycles are the counterclockwise half-edge orders at the vertices, and a
 fixed-point-free involution alpha pairing half-edges into edges.  The
 embedding surface is defined by the data; faces are the orbits of the face
-permutation with the convention
-
-    phi(h) = sigma(alpha(h))
-
-(used everywhere, including duals), and the genus comes from Euler's
-formula V - E + F = 2 - 2g.
+permutation phi(h) = sigma(alpha(h)), and the genus comes from Euler's formula
+V - E + F = 2 - 2g.  The dual has sigma* = phi^-1 and alpha* = alpha
+(Lando-Zvonkin, Graphs on Surfaces and Their Applications, 2004), so that it
+lies on the same oriented surface and the double dual, with sigma** = alpha
+sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 
 Each edge carries a designated tail half-edge, giving it a direction used
 for 1-chains; all homology computations are covariant under re-choosing
@@ -230,13 +229,14 @@ class CombinatorialMap:
     # -- structure ------------------------------------------------------------
 
     def dual(self) -> "CombinatorialMap":
-        """Dual map on the same surface: sigma* = phi, alpha* = alpha.
+        """Dual map on the same surface: sigma* = phi^-1, alpha* = alpha.
 
-        Faces of the dual are the vertex orbits of the original, edge ids
-        and tail half-edges carry over unchanged.
+        The dual's vertices are the faces, each orbit reversed; its faces
+        are the vertex orbits of the original.  Edge ids and tail
+        half-edges carry over unchanged.
         """
         pairing = [(self.edge_tails[e], self.alpha[self.edge_tails[e]]) for e in self.edge_ids]
-        return CombinatorialMap(self.faces, pairing, self.edge_tails)
+        return CombinatorialMap([walk[::-1] for walk in self.faces], pairing, self.edge_tails)
 
     def reoriented(self, orientations: Sequence[int]) -> "CombinatorialMap":
         pairing = [(self.edge_tails[e], self.alpha[self.edge_tails[e]]) for e in self.edge_ids]

@@ -132,7 +132,7 @@ def test_coefficient_slots_on_random_ribbon_maps():
         # summed once and shared by every verifier below
         a = MapAnalysis(m)
         ctx, data = a.ctx, a.reduced
-        verdicts = {v.name: v for v in verify_krushkal_coeffs(m, ctx, data=data, P=a.P)}
+        verdicts = {v.name: v for v in verify_krushkal_coeffs(m, analysis=a)}
         assert verdicts["mu_coefficient"].passed
         assert verdicts["lambda_coefficient"].passed
         if data.has_3petal:

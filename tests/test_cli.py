@@ -1,11 +1,18 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slinv import HomologyContext, NegativeGenus, parse_diagram, parse_map
 from slinv.cli import main
 
-from conftest import corpus_text
+from conftest import RG_NAMES, SLD_NAMES, corpus_text
 
 WEAVE_JK = "-t^-9/2 + 3*t^-7/2 + 3*t^-5/2 - t^-3/2 + 6*z*t^-3"
 
@@ -247,3 +254,65 @@ def test_auto_orient_flag_repairs_input(tmp_path, capsys):
     code, out, _ = run(capsys, ["invariants", str(path), "--auto-orient"])
     assert code == 0
     assert "diagram: 3 crossings" in out
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+# replacement tokens: near-miss numbers, endpoints and directives, an absurd
+# count, an empty token (a deletion) and a line break
+FUZZ_TOKENS = (
+    "-1", "0", "1", "2", "3", "7", "8", "12", "99999999999", "x", "1.", ".2", "0.0",
+    "3.9", "0.-1", "02", "13", "31", "#", "format", "sld", "rg", "crossings", "arc",
+    "over", "vertex", "edge", "", "\n",
+)
+FUZZ_COMMANDS = ("invariants", "verify", "states", "bounds", "krushkal")
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    """(name, text): a bundled file after one to three mutations, each a swap
+    of two tokens of one kind (numbers, endpoints or words; this often leaves
+    a valid input) or a token replaced by a fuzz token."""
+    name = draw(st.sampled_from(SLD_NAMES + RG_NAMES))
+    parts = re.split(r"(\s+)", corpus_text(name))
+    words = [i for i, part in enumerate(parts) if part and not part.isspace()]
+
+    def kind(token):
+        return token.isdigit(), "." in token
+
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(words))
+        if draw(st.booleans()):
+            j = draw(st.sampled_from([j for j in words if kind(parts[j]) == kind(parts[i])]))
+            parts[i], parts[j] = parts[j], parts[i]
+        else:
+            parts[i] = draw(st.sampled_from(FUZZ_TOKENS))
+    return name, "".join(parts)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=mutated_corpus_files())
+def test_cli_survives_mutated_corpus_files(fuzz_dir, case):
+    """Every command ends a malformed, or still valid, file with an exit code
+    (0 output, 1 bad input, 2 unmet hypothesis or cap) and never raises."""
+    name, text = case
+    path = fuzz_dir / name
+    path.write_text(text)
+    for command in FUZZ_COMMANDS:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(path), "--max-crossings", "8"])
+        assert code in (0, 1, 2), (command, text)
+        assert (code == 0) == (err.getvalue() == ""), (command, text)
+
+
+def test_absurd_crossing_count_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "absurd.sld"
+    path.write_text("format sld 1\ncrossings 99999999999\narc 0 0.0 0.1\n")
+    code, out, err = run(capsys, ["invariants", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: need arc ids dense")

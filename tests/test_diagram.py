@@ -139,8 +139,16 @@ def test_tait_vertex_counts_match_opposite_extreme_states(colorable_diagrams):
 
 
 def test_tait_graphs_are_dual_maps(colorable_diagrams):
-    for name, d in colorable_diagrams.items():
+    # tait_graphs reads both graphs off the diagram's faces, independently
+    # of dual(); the dual of G_B is G_A exactly, and dual(G_A) is G_B up to
+    # the isomorphism alpha
+    named = list(colorable_diagrams.items())
+    for c in range(4, 11):
+        for i, d in enumerate(sample_torus_diagrams(seed=2024, count=8, c_lo=c, c_hi=c)):
+            named.append((f"c = {c}, draw {i}", d))
+    for name, d in named:
         pair = tait_graphs(d, checkerboard(d))
+        assert dual(pair.g_b) == pair.g_a, name
         assert is_isomorphic(pair.g_b, dual(pair.g_a)), name
 
 

@@ -55,11 +55,17 @@ def test_euler_identity_for_every_constructed_map(study_maps, random_maps):
         assert m.genus >= 0
 
 
-def test_double_dual_is_the_identity(study_maps, random_maps):
+def test_double_dual_is_the_alpha_conjugate(study_maps, random_maps):
+    # sigma* = phi^-1 gives sigma** = alpha sigma alpha: the same map with
+    # every half-edge h renamed alpha(h), which alpha maps isomorphically
     for m in list(study_maps.values()) + random_maps:
         star = m.dual()
         assert (star.V, star.F, star.genus) == (m.F, m.V, m.genus)
-        assert star.dual() == m
+        pairing = [(t, m.alpha[t]) for t in m.edge_tails]
+        conjugate = CombinatorialMap(
+            [[m.alpha[h] for h in rot] for rot in m.vertices], pairing, m.edge_tails
+        )
+        assert star.dual() == conjugate
         assert is_isomorphic(dual(dual(m)), m)
 
 
