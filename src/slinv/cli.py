@@ -283,11 +283,11 @@ def cmd_states(args) -> int:
 def cmd_bounds(args) -> int:
     d = _load_diagram(args.path, args)
     # bounds enumerate no states or subgraphs, so the analysis needs no cap;
-    # --max-crossings is still enforced, as in every other command
+    # --max-crossings is still enforced first, as in every other command
+    _check_crossing_cap(d, _cap(args))
     a = DiagramAnalysis(d)
     t = a.tau_by_classes
     lower, upper = volume_bounds(t, d.genus)
-    _check_crossing_cap(d, _cap(args))
     note = "" if a.flags.strongly_reduced else FORMAL_BOUNDS_NOTE
     obj = {
         "tau": t,

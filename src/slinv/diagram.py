@@ -403,13 +403,13 @@ def reduced_flags(d: SurfaceLinkDiagram) -> ReducedFlags:
     if d.crossings == 0:
         return ReducedFlags(True, True, True)
     pair = tait_graphs(d, checkerboard(d))
-    return tait_flags(HomologyContext(pair.g_a), HomologyContext(pair.g_b))
+    return tait_flags(pair.g_a, pair.g_b)
 
 
-def tait_flags(*contexts: HomologyContext) -> ReducedFlags:
-    """reduced_flags read off homology contexts of the two Tait graphs."""
-    any_loop = any(ctx.map.is_loop(e) for ctx in contexts for e in ctx.map.edge_ids)
-    any_trivial_loop = any(trivial_loops(ctx) for ctx in contexts)
+def tait_flags(*graphs: CombinatorialMap) -> ReducedFlags:
+    """reduced_flags read off the two Tait graphs."""
+    any_loop = any(m.is_loop(e) for m in graphs for e in m.edge_ids)
+    any_trivial_loop = any(trivial_loops(m) for m in graphs)
     return ReducedFlags(True, not any_trivial_loop, not any_loop)
 
 

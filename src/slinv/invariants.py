@@ -52,11 +52,11 @@ from .errors import (
 from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly
 from .ribbon import (
     CombinatorialMap,
-    HomologyContext,
     _component_count,
     component_count,
     delete_edge,
     dual,
+    parallel_pairs,
     subgraph_numbers,
     trivial_loops,
     union_roots,
@@ -195,7 +195,7 @@ def loop_deletion_check(
     a = analysis or MapAnalysis(m, cap)
     if not m.is_loop(e):
         raise NotTrivialLoop(f"edge {e} is not a loop")
-    if not a.ctx.in_B({e: Fraction(1)}):
+    if subgraph_numbers(m, (e,))[4] != 1:
         raise NotTrivialLoop(f"loop {e} is homologically nontrivial")
     factor = LaurentPoly.var(P_VARS, "y") + 1
     return a.p == factor * krushkal(delete_edge(m, e), cap=a.cap)
@@ -236,19 +236,17 @@ class ReducedGraphData:
 
 
 def reduce(
-    m: CombinatorialMap,
-    ctx: HomologyContext | None = None,
-    representative_rotation: int = 0,
+    m: CombinatorialMap, representative_rotation: int = 0, *, analysis: MapAnalysis | None = None
 ) -> ReducedGraphData:
     """Reduced-graph statistics; the representative of each parallel class is
     chosen by index rotation so invariance under the choice is testable."""
-    ctx = ctx or HomologyContext(m)
-    roots = union_roots(m.E, sorted(ctx.parallel_pairs))
+    pairs = analysis.parallel_pairs if analysis else parallel_pairs(m)
+    roots = union_roots(m.E, sorted(pairs))
     classes: dict[int, list[int]] = {}
     for e, root in enumerate(roots):
         classes.setdefault(root, []).append(e)
 
-    trivial = set(trivial_loops(ctx))
+    trivial = set(trivial_loops(m))
 
     kept: list[int] = []
     for cls in sorted(classes.values()):
@@ -473,7 +471,7 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
 
 
 class MapAnalysis:
-    """The homology context, p, P, reduction and dual of one map, each
+    """The parallel edge pairs, p, P, reduction and dual of one map, each
     computed at most once, on first use.  DiagramAnalysis.tait sets the dual
     of each Tait graph to the other one."""
 
@@ -482,8 +480,8 @@ class MapAnalysis:
         self.cap = cap
 
     @cached_property
-    def ctx(self) -> HomologyContext:
-        return HomologyContext(self.map)
+    def parallel_pairs(self) -> frozenset[tuple[int, int]]:
+        return parallel_pairs(self.map)
 
     @cached_property
     def p(self) -> LaurentPoly:
@@ -495,11 +493,11 @@ class MapAnalysis:
 
     @cached_property
     def reduced(self) -> ReducedGraphData:
-        return reduce(self.map, self.ctx)
+        return reduce(self.map, analysis=self)
 
     @cached_property
     def dual(self) -> MapAnalysis:
-        return MapAnalysis(self.ctx.dual_map, self.cap)
+        return MapAnalysis(self.map.dual(), self.cap)
 
 
 class DiagramAnalysis:
@@ -560,7 +558,7 @@ class DiagramAnalysis:
         if self.d.crossings == 0:
             return ReducedFlags(True, True, True)
         g_a, g_b = self.tait
-        return tait_flags(g_a.ctx, g_b.ctx)
+        return tait_flags(g_a.map, g_b.map)
 
     def require_reduced_alternating(self) -> None:
         if not self.alternating:
@@ -602,7 +600,7 @@ class DiagramAnalysis:
         crossings parallel in at least one Tait graph."""
         if self.d.crossings == 0:
             return ()
-        in_a, in_b = (g.ctx.parallel_pairs for g in self.tait)
+        in_a, in_b = (g.parallel_pairs for g in self.tait)
         return tuple((i, j, (i, j) in in_a, (i, j) in in_b) for i, j in sorted(in_a | in_b))
 
     @cached_property
@@ -782,7 +780,7 @@ def _tutte_verdict(a: MapAnalysis) -> Verdict:
 def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
     """Check p_G = (1+y) p_(G-e) on the first homologically trivial loop found."""
     for side, a in graphs:
-        loops = trivial_loops(a.ctx)
+        loops = trivial_loops(a.map)
         if loops:
             ok = loop_deletion_check(a.map, loops[0], analysis=a)
             return _verdict("loop_deletion", ok, f"trivial loop {loops[0]} of {side}")
@@ -792,20 +790,17 @@ def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
 # -- volume bounds -----------------------------------------------------------------
 
 
-def volume_bounds(tau_value: int, g: int, chi: int | None = None) -> tuple[float, float]:
+def volume_bounds(tau_value: int, g: int) -> tuple[float, float]:
     """Two-sided bounds on the volume of the link complement in F x I from the
     homological twist number.  For g = 1: (v_oct/2 * tau, 10 v_tet * tau); for
-    g >= 2: (v_oct/2 * (tau - 3 chi), 12 v_oct * tau) with chi = 2 - 2g by
-    default."""
+    g >= 2: (v_oct/2 * (tau - 3 chi), 12 v_oct * tau) with chi = 2 - 2g."""
     if g == 0:
         raise GenusZero("volume bounds cover diagrams on positive-genus surfaces")
     if tau_value < 0:
         raise InputError(f"negative twist number {tau_value}")
-    if chi is None:
-        chi = 2 - 2 * g
     if g == 1:
         return (V_OCT / 2 * tau_value, 10 * V_TET * tau_value)
-    return (V_OCT / 2 * (tau_value - 3 * chi), 12 * V_OCT * tau_value)
+    return (V_OCT / 2 * (tau_value - 3 * (2 - 2 * g)), 12 * V_OCT * tau_value)
 
 
 # -- the full report ---------------------------------------------------------------

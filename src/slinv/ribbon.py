@@ -11,9 +11,10 @@ lies on the same oriented surface and the double dual, with sigma** = alpha
 sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 
 Each edge carries a designated tail half-edge, giving it a direction used
-for 1-chains; all homology computations are covariant under re-choosing
-these directions.  Homology of the surface is realized over the rationals
-as Z1(G)/B where B is the span of the face-boundary chains.
+for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
+k decides trivial loops and parallel edges.  HomologyContext realizes H1 over
+the rationals as Z1(G)/B, B spanned by the face boundaries: it is the oracle
+of those integer routes and names the curve classes of `slinv states --dump`.
 """
 
 from __future__ import annotations
@@ -565,12 +566,6 @@ class HomologyContext:
     def dual_map(self) -> CombinatorialMap:
         return self.map.dual()
 
-    @cached_property
-    def parallel_pairs(self) -> frozenset[tuple[int, int]]:
-        """The pairs e < f of parallel edges, each pair decided once."""
-        pairs = itertools.combinations(self.map.edge_ids, 2)
-        return frozenset(pair for pair in pairs if parallel(*pair, self))
-
     # -- class arithmetic --------------------------------------------------
 
     def class_of(self, chain: Vec) -> Vec:
@@ -654,21 +649,29 @@ def subgraph_profile(H: SpanningSubgraph, ctx: HomologyContext) -> SubgraphProfi
 # -- edge homology and parallelism -------------------------------------------
 
 
-def _edge_chain(e: int) -> Vec:
-    return {e: Fraction(1)}
-
-
 def edge_class(e: int, ctx: HomologyContext) -> Vec:
     """Class of a loop edge in H1(F), as the canonical representative mod B."""
     if not ctx.map.is_loop(e):
         raise NotALoop(f"edge {e} has distinct endpoints")
-    return ctx.class_of(_edge_chain(e))
+    return ctx.class_of({e: Fraction(1)})
 
 
-def trivial_loops(ctx: HomologyContext) -> list[int]:
-    """The homologically trivial loops of ctx.map: loops whose chain bounds."""
-    m = ctx.map
-    return [e for e in m.edge_ids if m.is_loop(e) and ctx.in_B(_edge_chain(e))]
+def trivial_loops(m: CombinatorialMap) -> list[int]:
+    """The homologically trivial loops of m: the edges e with k({e}) = 1
+    (b1({e}) is 1 only on a loop)."""
+    return [e for e in m.edge_ids if subgraph_numbers(m, (e,))[4] == 1]
+
+
+def parallel_pairs(m: CombinatorialMap) -> frozenset[tuple[int, int]]:
+    """The pairs e < f of parallel edges: k({e}) = k({f}) and k({e, f}) >= 1.
+    Dependent loop classes agree up to sign: the nonzero class of a simple
+    closed curve is primitive (Farb-Margalit, Primer on MCGs, 2012, ch. 6)."""
+    k = [subgraph_numbers(m, (e,))[4] for e in m.edge_ids]
+    return frozenset(
+        (e, f)
+        for e, f in itertools.combinations(m.edge_ids, 2)
+        if k[e] == k[f] and subgraph_numbers(m, (e, f))[4] >= 1
+    )
 
 
 def cycle_of_pair(e: int, f: int, m: CombinatorialMap) -> Vec:

@@ -129,9 +129,11 @@ def test_coefficient_slots_on_random_ribbon_maps():
     for m in maps:
         genera_seen.add(m.genus)
         # one analysis per map: p, P, the reduction and the dual's p are
-        # summed once and shared by every verifier below
+        # summed once and shared by every verifier below; the rational
+        # homology picks the trivial loop, and loop_deletion_check's
+        # integer route checks it
         a = MapAnalysis(m)
-        ctx, data = a.ctx, a.reduced
+        ctx, data = HomologyContext(m), a.reduced
         verdicts = {v.name: v for v in verify_krushkal_coeffs(m, analysis=a)}
         assert verdicts["mu_coefficient"].passed
         assert verdicts["lambda_coefficient"].passed

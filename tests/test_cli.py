@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from slinv import HomologyContext, NegativeGenus, parse_diagram, parse_map
 from slinv.cli import main
+from slinv.diagram import diagram_homology
 
 from conftest import RG_NAMES, SLD_NAMES, corpus_text
 
@@ -209,12 +210,20 @@ def test_missing_input_file(tmp_path, capsys):
 
 
 def test_internal_consistency_errors_exit_2(tmp_path, capsys, monkeypatch):
-    path = write_corpus(tmp_path, "torus_bouquet.rg")
-    with monkeypatch.context() as patch:
-        patch.setattr(HomologyContext, "fundamental_cycles_of", lambda self, edges: [])
-        code, out, err = run(capsys, ["krushkal", path])
+    # only `states --dump` builds a homology context; the cache must not
+    # hand back one built before the patch, nor keep one built under it
+    weave = write_corpus(tmp_path, "weave2x2.sld")
+    diagram_homology.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(HomologyContext, "fundamental_cycles_of", lambda self, edges: [])
+            code, out, err = run(capsys, ["states", weave, "--dump"])
+    finally:
+        diagram_homology.cache_clear()
     assert (code, out) == (2, "")
     assert err.startswith("error: cycle and face ranks")
+
+    path = write_corpus(tmp_path, "torus_bouquet.rg")
 
     def negative_genus(text):
         raise NegativeGenus("V-E+F = 4 exceeds 2 on a connected map")
@@ -229,6 +238,36 @@ def test_crossing_cap_blocks_enumeration(tmp_path, capsys):
     code, _, err = run(capsys, ["invariants", path, "--max-crossings", "2"])
     assert code == 2
     assert "exceed" in err
+    # the cap is checked before the genus-0 and alternation preconditions
+    for name in ("figure8.sld", "vk2_1.sld"):
+        path = write_corpus(tmp_path, name)
+        code, out, err = run(capsys, ["bounds", path, "--max-crossings", "1"])
+        assert (code, out) == (2, ""), name
+        assert "exceed the cap of 1" in err, name
+
+
+def test_reports_build_no_homology_context(tmp_path, capsys, monkeypatch):
+    """Reports decide trivial loops and parallel edges on integers; only
+    `states --dump` builds the rational homology, for its curve classes."""
+    builds = []
+    original = HomologyContext.__init__
+
+    def counted(self, m):
+        builds.append(m)
+        original(self, m)
+
+    monkeypatch.setattr(HomologyContext, "__init__", counted)
+    diagram_homology.cache_clear()
+    try:
+        for name in SLD_NAMES + RG_NAMES:
+            path = write_corpus(tmp_path, name)
+            for command in ("invariants", "verify", "bounds", "krushkal", "states"):
+                run(capsys, [command, path])
+        assert builds == []
+        code, _, _ = run(capsys, ["states", write_corpus(tmp_path, "weave2x2.sld"), "--dump"])
+        assert code == 0 and len(builds) >= 1  # the counter does see a build
+    finally:
+        diagram_homology.cache_clear()
 
 
 def test_raised_cap_warns_but_proceeds(tmp_path, capsys):

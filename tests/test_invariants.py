@@ -2,7 +2,6 @@
 the two Jones routes, and the aggregate report."""
 
 import json
-import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +15,6 @@ from slinv import (
     DiagramAnalysis,
     EdgeCapExceeded,
     GenusZero,
-    HomologyContext,
     HypothesisViolated,
     InputError,
     JKPoly,
@@ -142,8 +140,7 @@ def test_reduction_is_independent_of_representative_choice(diagrams):
     d = diagrams["trefoil.sld"]
     pair = tait_graphs(d, checkerboard(d))
     for graph in (pair.g_a, pair.g_b):
-        ctx = HomologyContext(graph)
-        runs = [reduce(graph, ctx, representative_rotation=r) for r in range(3)]
+        runs = [reduce(graph, representative_rotation=r) for r in range(3)]
         stats = {
             (r.lam, r.mu, r.gamma, r.trivial_loops_deleted, r.has_3petal) for r in runs
         }
@@ -249,8 +246,6 @@ def test_volume_bounds_known_values():
     lo2, hi2 = volume_bounds(5, 2)
     assert lo2 == pytest.approx(3.66386 / 2 * 11, abs=1e-9)
     assert hi2 == pytest.approx(12 * 3.66386 * 5, abs=1e-9)
-    lo3, _ = volume_bounds(5, 2, chi=-4)
-    assert lo3 == pytest.approx(3.66386 / 2 * 17, abs=1e-9)
 
 
 def test_volume_bounds_rejections_and_edge_cases():
@@ -397,17 +392,17 @@ REDUCED_C10_ARCS = (
 
 def test_each_report_decides_each_crossing_pair_once(monkeypatch):
     """reduce and the twist number read one set of parallel pairs per Tait
-    graph: at most C(c, 2) `parallel` calls on each."""
+    graph: one `parallel_pairs` call on each."""
     import slinv.ribbon
 
     lines = [f"arc {a} {ends}" for a, ends in enumerate(REDUCED_C10_ARCS)]
     d = parse_diagram("\n".join(["format sld 1", "crossings 10", *lines]) + "\n")
     assert reduced_flags(d).nugatory_free
-    calls = _count_calls(monkeypatch, "parallel", slinv.ribbon.parallel)
+    calls = _count_calls(monkeypatch, "parallel_pairs", slinv.ribbon.parallel_pairs)
     assert full_report(d).tau == 6
-    per_map = Counter(args[2].map for args in calls)
+    per_map = Counter(args[0] for args in calls)
     assert len(per_map) == 2
-    assert max(per_map.values()) <= math.comb(d.crossings, 2)
+    assert set(per_map.values()) == {1}
 
 
 def test_the_sums_build_no_fractions():

@@ -34,6 +34,8 @@ from slinv import (
     subgraph_profile,
     tait_graphs,
 )
+from slinv.ribbon import parallel_pairs, trivial_loops
+
 from conftest import RG_NAMES, corpus_text, sample_ribbon_maps, sample_torus_diagrams
 
 
@@ -91,13 +93,18 @@ def test_perpendicular_genus_two_ways(exhaustive_profiles):
 
 def assert_numbers_match_profiles(name, m):
     """subgraph_numbers against the rational-homology profile, field by
-    field, on every spanning subgraph of m."""
+    field, on every spanning subgraph of m; and the trivial loops and
+    parallel pairs it decides against the rational route."""
     ctx = HomologyContext(m)
     for mask in range(1 << m.E):
         edges = [e for e in m.edge_ids if mask >> e & 1]
         prof = subgraph_profile(SpanningSubgraph(m, frozenset(edges)), ctx)
         expected = (prof.components, prof.boundary_count, prof.s, prof.s_perp, prof.k)
         assert subgraph_numbers(m, edges) == expected, (name, edges)
+    pairs = {(e, f) for e, f in itertools.combinations(m.edge_ids, 2) if parallel(e, f, ctx)}
+    assert parallel_pairs(m) == pairs, name
+    loops = [e for e in m.edge_ids if m.is_loop(e) and edge_class(e, ctx) == {}]
+    assert trivial_loops(m) == loops, name
 
 
 def test_subgraph_numbers_match_the_homology_profiles(study_maps):
