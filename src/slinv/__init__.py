@@ -101,6 +101,7 @@ from .ribbon import (
     parse_map,
     subgraph_numbers,
     subgraph_profile,
+    subgraph_rows,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadSlot,
@@ -32,9 +32,11 @@ from .errors import (
 from .ribbon import (
     CombinatorialMap,
     HomologyContext,
+    UndoableUnionFind,
     chain_of_walk,
-    component_count,
+    smooth,
     trivial_loops,
+    unsmooth,
 )
 
 End = tuple[int, int]  # (crossing, slot)
@@ -403,13 +405,14 @@ def reduced_flags(d: SurfaceLinkDiagram) -> ReducedFlags:
     if d.crossings == 0:
         return ReducedFlags(True, True, True)
     pair = tait_graphs(d, checkerboard(d))
-    return tait_flags(pair.g_a, pair.g_b)
+    return tait_flags(*((m, trivial_loops(m)) for m in (pair.g_a, pair.g_b)))
 
 
-def tait_flags(*graphs: CombinatorialMap) -> ReducedFlags:
-    """reduced_flags read off the two Tait graphs."""
-    any_loop = any(m.is_loop(e) for m in graphs for e in m.edge_ids)
-    any_trivial_loop = any(trivial_loops(m) for m in graphs)
+def tait_flags(*graphs: tuple[CombinatorialMap, Sequence[int]]) -> ReducedFlags:
+    """reduced_flags read off the two Tait graphs, each given with its
+    trivial loops."""
+    any_loop = any(m.is_loop(e) for m, _ in graphs for e in m.edge_ids)
+    any_trivial_loop = any(loops for _, loops in graphs)
     return ReducedFlags(True, not any_trivial_loop, not any_loop)
 
 
@@ -470,14 +473,21 @@ def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[
 
 def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, int, int]]:
     """(b, |s|, r) of every smoothing state, in the order of enumerate_states,
-    from integer counts alone.
+    from integer counts alone, by one depth-first walk that decides crossing
+    c-1 at the root and crossing 0 at the leaves, A before B, and undoes each
+    step on its way back: O(1) amortized work per state.
 
+    The curves are the arcs of the diagram joined at the crossings: starting
+    from the pairing alpha of each half-edge with the other end of its arc,
+    the A-smoothing of crossing cr joins the ends 4cr+1 to 4cr+2 and 4cr+3
+    to 4cr, the B-smoothing 4cr to 4cr+1 and 4cr+2 to 4cr+3 (see smooth).
     The curves cut the surface into R regions.  The regions' boundaries span
     the relations among the curve classes, with one dependency, so
     r = |s| - R + 1.  The regions are the faces of the diagram joined through
     the crossings: the A-smoothing merges the corners led by slots 0 and 2,
     the B-smoothing those led by 1 and 3, and the corner led by slot j lies
-    in the face of half-edge 4*cr + (j+1) % 4.
+    in the face of half-edge 4*cr + (j+1) % 4; an undoable union-find over
+    the faces counts them.
     """
     c = d.crossings
     if c > cap:
@@ -487,13 +497,27 @@ def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[tup
         return
     m = d.cmap
     face_of = m.face_of
-    for mask in range(1 << c):
-        corners = (
-            (face_of[4 * cr + 2], face_of[4 * cr])
-            if mask >> cr & 1
-            else (face_of[4 * cr + 1], face_of[4 * cr + 3])
-            for cr in range(c)
-        )
-        regions = component_count(m.F, corners)
-        size = len(_state_curves(m, c, mask))
-        yield mask.bit_count(), size, size - regions + 1
+    regions = UndoableUnionFind(m.F)
+    steps = []
+    for cr in range(c):
+        x = 4 * cr
+        a = (x + 1, x + 2, x + 3, x, face_of[x + 1], face_of[x + 3])
+        b = (x, x + 1, x + 2, x + 3, face_of[x + 2], face_of[x])
+        steps.append((a, b))
+    yield from _state_walk((steps, list(m.alpha), regions), c - 1, 0, 0)
+
+
+def _state_walk(walk: tuple, cr: int, b: int, curves: int) -> Iterator[tuple[int, int, int]]:
+    """The rows of state_numbers below one choice of the crossings above cr,
+    b of them B-smoothed and closing `curves` curves.  Module-level for the
+    reason given at ribbon._subgraph_walk."""
+    steps, ends, regions = walk
+    for smoothing, (x1, y1, x2, y2, f, g) in enumerate(steps[cr]):
+        size = curves + smooth(ends, x1, y1, x2, y2)
+        merged = regions.union(f, g)
+        if cr:
+            yield from _state_walk(walk, cr - 1, b + smoothing, size)
+        else:
+            yield b + smoothing, size, size - regions.classes + 1
+        regions.undo(merged)
+        unsmooth(ends, x1, y1, x2, y2)

@@ -58,6 +58,7 @@ from .ribbon import (
     dual,
     parallel_pairs,
     subgraph_numbers,
+    subgraph_rows,
     trivial_loops,
     union_roots,
 )
@@ -113,13 +114,11 @@ def _check_crossing_cap(d: SurfaceLinkDiagram, cap: int) -> None:
 
 def krushkal(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """p_G(x,y,u,v) = sum over spanning subgraphs H of
-    x^(c(H)-c(G)) y^k(H) u^(s(H)/2) v^(s_perp(H)/2), each term from the
-    integer counts of subgraph_numbers."""
+    x^(c(H)-c(G)) y^k(H) u^(s(H)/2) v^(s_perp(H)/2): a tally of the integer
+    rows that subgraph_rows yields, one depth-first walk over the 2^E
+    subgraphs."""
     _check_edge_cap(m, cap)
-    terms: Counter[tuple[int, ...]] = Counter()
-    for mask in range(1 << m.E):
-        c, _, s, s_perp, k = subgraph_numbers(m, [e for e in m.edge_ids if mask >> e & 1])
-        terms[(c - 1, k, s // 2, s_perp // 2)] += 1
+    terms = Counter((c - 1, k, s // 2, s_perp // 2) for c, _, s, s_perp, k in subgraph_rows(m))
     return LaurentPoly(P_VARS, terms)
 
 
@@ -195,7 +194,7 @@ def loop_deletion_check(
     a = analysis or MapAnalysis(m, cap)
     if not m.is_loop(e):
         raise NotTrivialLoop(f"edge {e} is not a loop")
-    if subgraph_numbers(m, (e,))[4] != 1:
+    if e not in a.trivial_loops:
         raise NotTrivialLoop(f"loop {e} is homologically nontrivial")
     factor = LaurentPoly.var(P_VARS, "y") + 1
     return a.p == factor * krushkal(delete_edge(m, e), cap=a.cap)
@@ -246,7 +245,7 @@ def reduce(
     for e, root in enumerate(roots):
         classes.setdefault(root, []).append(e)
 
-    trivial = set(trivial_loops(m))
+    trivial = set(analysis.trivial_loops if analysis else trivial_loops(m))
 
     kept: list[int] = []
     for cls in sorted(classes.values()):
@@ -471,13 +470,17 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
 
 
 class MapAnalysis:
-    """The parallel edge pairs, p, P, reduction and dual of one map, each
-    computed at most once, on first use.  DiagramAnalysis.tait sets the dual
-    of each Tait graph to the other one."""
+    """The trivial loops, parallel edge pairs, p, P, reduction and dual of
+    one map, each computed at most once, on first use.  DiagramAnalysis.tait
+    sets the dual of each Tait graph to the other one."""
 
     def __init__(self, m: CombinatorialMap, cap: int = DEFAULT_CAP) -> None:
         self.map = m
         self.cap = cap
+
+    @cached_property
+    def trivial_loops(self) -> list[int]:
+        return trivial_loops(self.map)
 
     @cached_property
     def parallel_pairs(self) -> frozenset[tuple[int, int]]:
@@ -557,8 +560,7 @@ class DiagramAnalysis:
     def flags(self) -> ReducedFlags:
         if self.d.crossings == 0:
             return ReducedFlags(True, True, True)
-        g_a, g_b = self.tait
-        return tait_flags(g_a.map, g_b.map)
+        return tait_flags(*((g.map, g.trivial_loops) for g in self.tait))
 
     def require_reduced_alternating(self) -> None:
         if not self.alternating:
@@ -780,7 +782,7 @@ def _tutte_verdict(a: MapAnalysis) -> Verdict:
 def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
     """Check p_G = (1+y) p_(G-e) on the first homologically trivial loop found."""
     for side, a in graphs:
-        loops = trivial_loops(a.map)
+        loops = a.trivial_loops
         if loops:
             ok = loop_deletion_check(a.map, loops[0], analysis=a)
             return _verdict("loop_deletion", ok, f"trivial loop {loops[0]} of {side}")

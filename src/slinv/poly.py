@@ -210,19 +210,25 @@ class LaurentPoly:
 
         Negative powers require the target to be an invertible monomial
         (single term, coefficient +-1); otherwise NonMonomialDenominator.
+        Each power of a target is computed once, and the terms' images
+        accumulate in one dict.
         """
         targets = [assignments[name] for name in self.variables]
         ring = targets[0]
         for t in targets[1:]:
             ring._check_compatible(t)
-        result = ring._constant(0)
+        powers: dict[tuple[int, int], LaurentPoly] = {}
+        out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             prod = ring._constant(coeff)
-            for target, e in zip(targets, exps):
+            for i, e in enumerate(exps):
                 if e:
-                    prod = prod * (target ** e)
-            result = result + prod
-        return result
+                    if (i, e) not in powers:
+                        powers[i, e] = targets[i] ** e
+                    prod = prod * powers[i, e]
+            for key, value in prod.terms.items():
+                add_entry(out, key, value)
+        return ring._like(out)
 
     # -- text / JSON ------------------------------------------------------
 

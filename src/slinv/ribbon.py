@@ -12,9 +12,11 @@ sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 
 Each edge carries a designated tail half-edge, giving it a direction used
 for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
-k decides trivial loops and parallel edges.  HomologyContext realizes H1 over
-the rationals as Z1(G)/B, B spanned by the face boundaries: it is the oracle
-of those integer routes and names the curve classes of `slinv states --dump`.
+k decides trivial loops and parallel edges; subgraph_rows counts the same
+numbers for every subgraph in one depth-first walk.  HomologyContext
+realizes H1 over the rationals as Z1(G)/B, B spanned by the face boundaries:
+it is the oracle of those integer routes and names the curve classes of
+`slinv states --dump`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._linalg import Echelon, Vec, add_entry
 from .errors import (
@@ -477,6 +479,73 @@ def component_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
     return n - _join(list(range(n)), pairs)
 
 
+class UndoableUnionFind:
+    """Union-find over 0..n-1 whose unions can be undone, last first: union
+    by size and no path compression, so undoing a union resets one parent
+    (Westbrook-Tarjan, SIAM J. Comput. 1989).  `classes` counts the classes.
+    The depth-first sums use it; one-shot counts keep find_root, whose path
+    halving cannot be undone but costs half as much per count."""
+
+    __slots__ = ("parent", "size", "classes")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.classes = n
+
+    def union(self, i: int, j: int) -> int:
+        """Join the classes of i and j.  Returns the root hung below the
+        other, which undo takes back, or -1 when they were one class."""
+        parent = self.parent
+        while parent[i] != i:
+            i = parent[i]
+        while parent[j] != j:
+            j = parent[j]
+        if i == j:
+            return -1
+        size = self.size
+        if size[i] > size[j]:
+            i, j = j, i
+        parent[i] = j
+        size[j] += size[i]
+        self.classes -= 1
+        return i
+
+    def undo(self, child: int) -> None:
+        """Take back the latest union still in force, given what it returned."""
+        if child >= 0:
+            self.size[self.parent[child]] -= self.size[child]
+            self.parent[child] = child
+            self.classes += 1
+
+
+def smooth(ends: list[int], x1: int, y1: int, x2: int, y2: int) -> int:
+    """Join curve end x1 to y1, then x2 to y2, where `ends` pairs each open
+    end with the other end of its arc; the number of curves this closes.  A
+    join of the two ends of one arc closes a curve; any other splices their
+    partners, and leaves the joined ends' own entries for unsmooth."""
+    closed = 0
+    px, py = ends[x1], ends[y1]
+    if px == y1:
+        closed += 1
+    else:
+        ends[px], ends[py] = py, px
+    px, py = ends[x2], ends[y2]
+    if px == y2:
+        closed += 1
+    else:
+        ends[px], ends[py] = py, px
+    return closed
+
+
+def unsmooth(ends: list[int], x1: int, y1: int, x2: int, y2: int) -> None:
+    """Undo the latest smooth still in force, given the same ends.  Each end
+    that a join spliced is restored from its joined partner, and a join that
+    closed a curve changed nothing."""
+    ends[ends[y2]], ends[ends[x2]] = y2, x2
+    ends[ends[y1]], ends[ends[x1]] = y1, x1
+
+
 def _component_count(m: CombinatorialMap, edges: Iterable[int]) -> int:
     return component_count(m.V, (m.endpoints(e) for e in edges))
 
@@ -528,10 +597,69 @@ def subgraph_numbers(m: CombinatorialMap, edges: Iterable[int]) -> tuple[int, in
             h = sigma[alpha[h]]
             while not in_h[h]:
                 h = sigma[h]
-    s = 2 * c - (m.V - len(inside) + bc)
-    s_perp = 2 * c_star - (m.F - len(outside) + bc)
-    k = (len(inside) - m.V + c) - m.genus - s // 2 + s_perp // 2
-    return c, bc, s, s_perp, k
+    return _subgraph_row(m, len(inside), bc, c, c_star)
+
+
+def _subgraph_row(
+    m: CombinatorialMap, size: int, bc: int, c: int, c_star: int
+) -> tuple[int, int, int, int, int]:
+    """(c, bc, s, s_perp, k) of a spanning subgraph of m with `size` edges."""
+    s = 2 * c - (m.V - size + bc)
+    s_perp = 2 * c_star - (m.F - m.E + size + bc)
+    return c, bc, s, s_perp, (size - m.V + c) - m.genus - s // 2 + s_perp // 2
+
+
+def subgraph_rows(m: CombinatorialMap) -> Iterator[tuple[int, int, int, int, int]]:
+    """subgraph_numbers(m, H) of every spanning subgraph H, in mask order
+    (bit e set means e in H), by one depth-first walk that decides edge E-1
+    at the root and edge 0 at the leaves, out before in, and undoes each
+    step on its way back: O(1) amortized work per subgraph.
+
+    c and c* come from undoable union-finds on the vertices over H and on
+    the faces over E - H.  bc counts the closed curves of the medial
+    smoothing: half-edge x has an end 2x at the corner after it and an end
+    2x+1 at the corner before it, and corner x joins end 2x to end
+    2*sigma(x)+1.  The edge with tail t and head h = alpha(t) joins
+    (2t+1, 2h) and (2h+1, 2t) when in H, so that the curve runs along both
+    sides of it, and (2t+1, 2t) and (2h+1, 2h) when out, so that the curve
+    turns back at both ends.
+    """
+    if m.E == 0:
+        yield 1, 1, 0, 0, 0
+        return
+    sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
+    ends = [0] * (2 * m.n_half)
+    for x in range(m.n_half):
+        a, b = 2 * x, 2 * sigma[x] + 1
+        ends[a], ends[b] = b, a
+    vertices, faces = UndoableUnionFind(m.V), UndoableUnionFind(m.F)
+    steps = []
+    for t in m.edge_tails:
+        h = alpha[t]
+        out = (2 * t + 1, 2 * t, 2 * h + 1, 2 * h, faces, face_of[t], face_of[h])
+        inside = (2 * t + 1, 2 * h, 2 * h + 1, 2 * t, vertices, vertex_of[t], vertex_of[h])
+        steps.append((out, inside))
+    yield from _subgraph_walk((m, steps, ends, vertices, faces), m.E - 1, 0, 0)
+
+
+def _subgraph_walk(
+    walk: tuple, e: int, n_in: int, curves: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The rows of subgraph_rows below one choice of the edges above e, of
+    which n_in are in H and which close `curves` medial curves.  Module-level
+    rather than nested in subgraph_rows: a nested generator that calls itself
+    is a reference cycle, which keeps each walk alive until the cyclic
+    collector runs."""
+    m, steps, ends, vertices, faces = walk
+    for inside, (x1, y1, x2, y2, forest, i, j) in enumerate(steps[e]):
+        bc = curves + smooth(ends, x1, y1, x2, y2)
+        merged = forest.union(i, j)
+        if e:
+            yield from _subgraph_walk(walk, e - 1, n_in + inside, bc)
+        else:
+            yield _subgraph_row(m, n_in + inside, bc, vertices.classes, faces.classes)
+        forest.undo(merged)
+        unsmooth(ends, x1, y1, x2, y2)
 
 
 # -- homology ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph polynomials, reduced-graph statistics, twist numbers, volume bounds,
 the two Jones routes, and the aggregate report."""
 
+import gc
 import json
 import sys
 from collections import Counter
@@ -34,6 +35,7 @@ from slinv import (
     parse_diagram,
     reduce,
     reduced_flags,
+    state_numbers,
     tait_graphs,
     tau,
     tau_formula,
@@ -392,17 +394,20 @@ REDUCED_C10_ARCS = (
 
 def test_each_report_decides_each_crossing_pair_once(monkeypatch):
     """reduce and the twist number read one set of parallel pairs per Tait
-    graph: one `parallel_pairs` call on each."""
+    graph, and the flags, reduce and the loop-deletion verdict one list of
+    trivial loops: one `parallel_pairs` and one `trivial_loops` call on each."""
     import slinv.ribbon
 
     lines = [f"arc {a} {ends}" for a, ends in enumerate(REDUCED_C10_ARCS)]
     d = parse_diagram("\n".join(["format sld 1", "crossings 10", *lines]) + "\n")
     assert reduced_flags(d).nugatory_free
-    calls = _count_calls(monkeypatch, "parallel_pairs", slinv.ribbon.parallel_pairs)
+    pairs = _count_calls(monkeypatch, "parallel_pairs", slinv.ribbon.parallel_pairs)
+    loops = _count_calls(monkeypatch, "trivial_loops", slinv.ribbon.trivial_loops)
     assert full_report(d).tau == 6
-    per_map = Counter(args[0] for args in calls)
-    assert len(per_map) == 2
-    assert set(per_map.values()) == {1}
+    for calls in (pairs, loops):
+        per_map = Counter(args[0] for args in calls)
+        assert len(per_map) == 2
+        assert set(per_map.values()) == {1}
 
 
 def test_the_sums_build_no_fractions():
@@ -427,6 +432,26 @@ def test_the_sums_build_no_fractions():
         assert built == [(1, 2)]  # the counter does see a new Fraction
     finally:
         Fraction.__new__ = original
+
+
+def test_the_sums_leave_no_cyclic_garbage():
+    """The depth-first walks of the two sums hold no reference cycle, so
+    reference counting frees each walk and its rows on return; a cycle would
+    keep them alive until the cyclic collector runs, and raise peak memory."""
+    (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=8, c_hi=8)
+    g_a = tait_graphs(d, checkerboard(d)).g_a
+    assert (d.crossings, g_a.E) == (8, 8)
+    krushkal(g_a)
+    list(state_numbers(d))
+    gc.collect()
+    gc.disable()
+    try:
+        krushkal(g_a)
+        assert gc.collect() == 0
+        list(state_numbers(d))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reports_serialize_to_json(diagrams):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,12 @@ from slinv import (
     dual,
     edge_class,
     is_isomorphic,
+    krushkal,
     parallel,
     parse_map,
     subgraph_numbers,
     subgraph_profile,
+    subgraph_rows,
     tait_graphs,
 )
 from slinv.ribbon import parallel_pairs, trivial_loops
@@ -93,14 +96,20 @@ def test_perpendicular_genus_two_ways(exhaustive_profiles):
 
 def assert_numbers_match_profiles(name, m):
     """subgraph_numbers against the rational-homology profile, field by
-    field, on every spanning subgraph of m; and the trivial loops and
-    parallel pairs it decides against the rational route."""
+    field, on every spanning subgraph of m; the depth-first subgraph_rows,
+    and the krushkal tally of them, against those per-mask rows; and the
+    trivial loops and parallel pairs it decides against the rational route."""
     ctx = HomologyContext(m)
+    rows = []
     for mask in range(1 << m.E):
         edges = [e for e in m.edge_ids if mask >> e & 1]
         prof = subgraph_profile(SpanningSubgraph(m, frozenset(edges)), ctx)
         expected = (prof.components, prof.boundary_count, prof.s, prof.s_perp, prof.k)
         assert subgraph_numbers(m, edges) == expected, (name, edges)
+        rows.append(expected)
+    assert list(subgraph_rows(m)) == rows, name
+    tally = Counter((c - 1, k, s // 2, s_perp // 2) for c, _, s, s_perp, k in rows)
+    assert krushkal(m).terms == tally, name
     pairs = {(e, f) for e, f in itertools.combinations(m.edge_ids, 2) if parallel(e, f, ctx)}
     assert parallel_pairs(m) == pairs, name
     loops = [e for e in m.edge_ids if m.is_loop(e) and edge_class(e, ctx) == {}]
@@ -109,6 +118,7 @@ def assert_numbers_match_profiles(name, m):
 
 def test_subgraph_numbers_match_the_homology_profiles(study_maps):
     labelled = list(study_maps.items())
+    labelled.append(("the edgeless map", CombinatorialMap([()], [])))
     for i, m in enumerate(sample_ribbon_maps(seed=2718, count=40, genera=(1, 2, 3))):
         labelled.append((f"random map {i} (genus {m.genus})", m))
     for i, d in enumerate(sample_torus_diagrams(seed=1618, count=12, c_lo=3, c_hi=7)):
