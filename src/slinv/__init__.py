@@ -22,6 +22,7 @@ from .diagram import (
     reduced_flags,
     serialize_diagram,
     state_numbers,
+    state_tally,
     tait_graphs,
     writhe,
 )
@@ -84,7 +85,7 @@ from .invariants import (
     verify_twist_formula,
     volume_bounds,
 )
-from .poly import JKPoly, LaurentPoly
+from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
     HomologyContext,
@@ -96,12 +97,14 @@ from .ribbon import (
     delete_edge,
     dual,
     edge_class,
+    edge_kernels,
     is_isomorphic,
     parallel,
     parse_map,
     subgraph_numbers,
     subgraph_profile,
     subgraph_rows,
+    subgraph_tally,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -227,18 +229,24 @@ def cmd_states(args) -> int:
         states = list(enumerate_states(d, cap))
         numbers = [(s.b, s.size, s.r) for s in states]
     else:
-        numbers = list(state_numbers(d, cap))
+        numbers = state_numbers(d, cap)
+    tally = Counter(numbers)
     try:
-        jk = DiagramAnalysis(d, cap, numbers).jk
+        jk = DiagramAnalysis(d, cap, tally).jk
         jk_note = None
     except PreconditionError as exc:
         jk, jk_note = None, str(exc)
+    # reduced weight carries (-t^-1/2 - t^1/2)^(k-1), undefined at k=0;
+    # rendered once per distinct row
+    weights = {
+        (b, size, r): _weight(2 * b - c, r, size - r).to_text() if size > r else None
+        for b, size, r in tally
+    }
     w = writhe(d)
     rows = []
     for mask, (b, size, r) in enumerate(numbers):
         k = size - r
-        # reduced weight carries (-t^-1/2 - t^1/2)^(k-1), undefined at k=0
-        weight_text = _weight(2 * b - c, r, k).to_text() if k >= 1 else None
+        weight_text = weights[b, size, r]
         row = {
             "choice": "".join("B" if mask >> cr & 1 else "A" for cr in range(c)),
             "a": c - b,
@@ -344,7 +352,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: argparse's actions and parsers refer to each
+    other, so a parser per call would leave a reference cycle behind."""
     parser = argparse.ArgumentParser(
         prog="slinv",
         description="Exact invariants of link diagrams on closed orientable surfaces.",

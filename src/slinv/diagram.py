@@ -33,6 +33,7 @@ from .ribbon import (
     CombinatorialMap,
     HomologyContext,
     UndoableUnionFind,
+    _record,
     chain_of_walk,
     smooth,
     trivial_loops,
@@ -471,11 +472,34 @@ def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[
         yield State(choice=choice, curves=curves, a=c - b, b=b, r=r)
 
 
-def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, int, int]]:
-    """(b, |s|, r) of every smoothing state, in the order of enumerate_states,
-    from integer counts alone, by one depth-first walk that decides crossing
-    c-1 at the root and crossing 0 at the leaves, A before B, and undoes each
-    step on its way back: O(1) amortized work per state.
+def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> list[tuple[int, int, int]]:
+    """(b, |s|, r) of every smoothing state, in the order of enumerate_states:
+    walk_states with a list sink."""
+    rows: list[tuple[int, int, int]] = []
+    walk_states(d, cap, rows=rows)
+    return rows
+
+
+def state_tally(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> dict[tuple[int, int, int], int]:
+    """How many states have each (b, |s|, r) row of state_numbers:
+    walk_states with a tally sink."""
+    tally: dict[tuple[int, int, int], int] = {}
+    walk_states(d, cap, tally=tally)
+    return tally
+
+
+def walk_states(
+    d: SurfaceLinkDiagram,
+    cap: int = DEFAULT_CAP,
+    *,
+    tally: dict[tuple[int, int, int], int] | None = None,
+    rows: list[tuple[int, int, int]] | None = None,
+) -> None:
+    """The row (b, |s|, r) of every smoothing state, from integer counts
+    alone, counted into `tally` or, when `tally` is None, appended to `rows`
+    in bitmask order (bit i set = B at crossing i).  One depth-first walk
+    decides crossing c-1 at the root and crossing 0 at the leaves, A before
+    B, and undoes each step on its way back: O(1) amortized work per state.
 
     The curves are the arcs of the diagram joined at the crossings: starting
     from the pairing alpha of each half-edge with the other end of its arc,
@@ -493,7 +517,7 @@ def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[tup
     if c > cap:
         raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
     if c == 0:
-        yield 0, 1, 0
+        _record(tally, rows, (0, 1, 0))
         return
     m = d.cmap
     face_of = m.face_of
@@ -504,20 +528,24 @@ def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[tup
         a = (x + 1, x + 2, x + 3, x, face_of[x + 1], face_of[x + 3])
         b = (x, x + 1, x + 2, x + 3, face_of[x + 2], face_of[x])
         steps.append((a, b))
-    yield from _state_walk((steps, list(m.alpha), regions), c - 1, 0, 0)
+    _state_walk((steps, list(m.alpha), regions, tally, rows), c - 1, 0, 0)
 
 
-def _state_walk(walk: tuple, cr: int, b: int, curves: int) -> Iterator[tuple[int, int, int]]:
-    """The rows of state_numbers below one choice of the crossings above cr,
+def _state_walk(walk: tuple, cr: int, b: int, curves: int) -> None:
+    """The rows of walk_states below one choice of the crossings above cr,
     b of them B-smoothed and closing `curves` curves.  Module-level for the
     reason given at ribbon._subgraph_walk."""
-    steps, ends, regions = walk
+    steps, ends, regions, tally, rows = walk
     for smoothing, (x1, y1, x2, y2, f, g) in enumerate(steps[cr]):
         size = curves + smooth(ends, x1, y1, x2, y2)
         merged = regions.union(f, g)
         if cr:
-            yield from _state_walk(walk, cr - 1, b + smoothing, size)
+            _state_walk(walk, cr - 1, b + smoothing, size)
         else:
-            yield b + smoothing, size, size - regions.classes + 1
+            row = (b + smoothing, size, size - regions.classes + 1)
+            if tally is None:
+                rows.append(row)
+            else:
+                tally[row] = tally.get(row, 0) + 1
         regions.undo(merged)
         unsmooth(ends, x1, y1, x2, y2)

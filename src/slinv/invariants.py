@@ -18,11 +18,9 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from ._linalg import add_entry
 from .diagram import (
@@ -32,7 +30,7 @@ from .diagram import (
     SurfaceLinkDiagram,
     checkerboard,
     is_alternating,
-    state_numbers,
+    state_tally,
     tait_flags,
     tait_graphs,
     writhe,
@@ -49,16 +47,17 @@ from .errors import (
     NotTrivialLoop,
     PreconditionError,
 )
-from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly
+from .poly import JKPoly, LaurentPoly, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
     _component_count,
     component_count,
     delete_edge,
     dual,
+    edge_kernels,
     parallel_pairs,
     subgraph_numbers,
-    subgraph_rows,
+    subgraph_tally,
     trivial_loops,
     union_roots,
 )
@@ -114,11 +113,12 @@ def _check_crossing_cap(d: SurfaceLinkDiagram, cap: int) -> None:
 
 def krushkal(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """p_G(x,y,u,v) = sum over spanning subgraphs H of
-    x^(c(H)-c(G)) y^k(H) u^(s(H)/2) v^(s_perp(H)/2): a tally of the integer
-    rows that subgraph_rows yields, one depth-first walk over the 2^E
-    subgraphs."""
+    x^(c(H)-c(G)) y^k(H) u^(s(H)/2) v^(s_perp(H)/2), read off
+    subgraph_tally, one depth-first walk over the 2^E subgraphs."""
     _check_edge_cap(m, cap)
-    terms = Counter((c - 1, k, s // 2, s_perp // 2) for c, _, s, s_perp, k in subgraph_rows(m))
+    terms: dict[tuple[int, ...], int] = {}
+    for (c, _, s, s_perp, k), n in subgraph_tally(m).items():
+        add_entry(terms, (c - 1, k, s // 2, s_perp // 2), n)
     return LaurentPoly(P_VARS, terms)
 
 
@@ -338,27 +338,29 @@ def jones_krushkal_statesum(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JK
 
 def _weight(b_minus_a: int, r: int, k: int) -> JKPoly:
     """t^((b-a)/4) z^r (-t^(-1/2) - t^(1/2))^(k-1): the weight of a state
-    with k >= 1."""
-    return JKPoly.term(1, b_minus_a, r) * CURVE_BINOMIAL ** (k - 1)
+    with k >= 1, from the terms of the curve binomial."""
+    return JKPoly({(b_minus_a + tq, r): coeff for tq, coeff in curve_binomial_terms(k - 1)})
 
 
-def _state_sum(d: SurfaceLinkDiagram, rows: Iterable[tuple[int, int, int]]) -> tuple[JKPoly, int]:
-    """One pass over the (b, |s|, r) rows of the states of a colorable
-    diagram: the state sum of J_K, and the number of states with
+def _state_sum(d: SurfaceLinkDiagram, tally: dict[tuple[int, int, int], int]) -> tuple[JKPoly, int]:
+    """The state sum of J_K over a colorable diagram's states, given the
+    tally of their (b, |s|, r) rows, and the number of states with
     k(s) = |s| - r < 1, which the sum skips (their weight is undefined, and
-    none should exist).  The states are tallied by (b - a, r, k), all their
-    weight depends on, and J_K is built once from the tally."""
+    none should exist).  Each row's count times the prefactor and its
+    weight's terms adds straight into the terms of J_K."""
     c, w = d.crossings, writhe(d)
-    tally: Counter[tuple[int, int, int]] = Counter()
+    sign = 1 if w % 2 == 0 else -1
+    terms: dict[tuple[int, int], int] = {}
     bad = 0
-    for b, size, r in rows:
+    for (b, size, r), n in tally.items():
         k = size - r
         if k < 1:
-            bad += 1
+            bad += n
             continue
-        tally[(2 * b - c, r, k)] += 1
-    total = sum((n * _weight(*key) for key, n in tally.items()), JKPoly.zero())
-    return JKPoly.term(1 if w % 2 == 0 else -1, 3 * w) * total, bad
+        shift = 3 * w + 2 * b - c
+        for tq, coeff in curve_binomial_terms(k - 1):
+            add_entry(terms, (shift + tq, r), sign * n * coeff)
+    return JKPoly(terms), bad
 
 
 def jones_krushkal_via_P(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JKPoly:
@@ -470,21 +472,26 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
 
 
 class MapAnalysis:
-    """The trivial loops, parallel edge pairs, p, P, reduction and dual of
-    one map, each computed at most once, on first use.  DiagramAnalysis.tait
-    sets the dual of each Tait graph to the other one."""
+    """The single-edge kernels, trivial loops, parallel edge pairs, p, P,
+    reduction and dual of one map, each computed at most once, on first
+    use.  The dual is summed from this map's own dual(); a DiagramAnalysis
+    passes each Tait graph's verifiers the other Tait graph instead."""
 
     def __init__(self, m: CombinatorialMap, cap: int = DEFAULT_CAP) -> None:
         self.map = m
         self.cap = cap
 
     @cached_property
+    def edge_kernels(self) -> list[int]:
+        return edge_kernels(self.map)
+
+    @cached_property
     def trivial_loops(self) -> list[int]:
-        return trivial_loops(self.map)
+        return trivial_loops(self.map, self.edge_kernels)
 
     @cached_property
     def parallel_pairs(self) -> frozenset[tuple[int, int]]:
-        return parallel_pairs(self.map)
+        return parallel_pairs(self.map, self.edge_kernels)
 
     @cached_property
     def p(self) -> LaurentPoly:
@@ -510,18 +517,18 @@ class DiagramAnalysis:
     specialization of J_K, the crossing pairs parallel in a Tait graph and
     both twist numbers.  A piece whose hypotheses fail raises the
     PreconditionError of the public function that computes it alone.  Given
-    the (b, |s|, r) `rows` of state_numbers, the state sum reads them instead
-    of enumerating its own."""
+    the `tally` of the states' (b, |s|, r) rows (state_tally's), the state
+    sum reads it instead of walking the states itself."""
 
     def __init__(
         self,
         d: SurfaceLinkDiagram,
         cap: int = DEFAULT_CAP,
-        rows: Iterable[tuple[int, int, int]] | None = None,
+        tally: dict[tuple[int, int, int], int] | None = None,
     ) -> None:
         self.d = d
         self.cap = cap
-        self._rows = rows
+        self._tally = tally
 
     @cached_property
     def alternating(self) -> bool:
@@ -549,12 +556,10 @@ class DiagramAnalysis:
     @cached_property
     def tait(self) -> tuple[MapAnalysis, MapAnalysis]:
         """(G_A, G_B), each the other's dual: dual(G_B) is G_A, and dual(G_A)
-        is G_B up to the isomorphism alpha (see ribbon), so each Tait graph
-        is summed once."""
+        is G_B up to the isomorphism alpha (see ribbon), so the report gives
+        each as the other's `dual` and sums each Tait graph once."""
         pair = tait_graphs(self.d, self.coloring())
-        g_a, g_b = MapAnalysis(pair.g_a, self.cap), MapAnalysis(pair.g_b, self.cap)
-        g_a.dual, g_b.dual = g_b, g_a  # fill the cached property
-        return g_a, g_b
+        return MapAnalysis(pair.g_a, self.cap), MapAnalysis(pair.g_b, self.cap)
 
     @cached_property
     def flags(self) -> ReducedFlags:
@@ -574,8 +579,8 @@ class DiagramAnalysis:
         if self.d.crossings == 0:
             return JKPoly.const(1), 0
         self.coloring()  # raises on a non-colorable diagram
-        rows = state_numbers(self.d, self.cap) if self._rows is None else self._rows
-        return _state_sum(self.d, rows)
+        tally = state_tally(self.d, self.cap) if self._tally is None else self._tally
+        return _state_sum(self.d, tally)
 
     @property
     def jk(self) -> JKPoly:
@@ -740,13 +745,18 @@ def verify_tait_duality(
 
 
 def verify_polynomial_duality(
-    m: CombinatorialMap, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
+    m: CombinatorialMap,
+    cap: int = DEFAULT_CAP,
+    *,
+    analysis: MapAnalysis | None = None,
+    dual: MapAnalysis | None = None,
 ) -> Verdict:
-    """p_G(x,y,u,v) = p_G*(y,x,v,u), with p_G* summed over the dual map (over
-    the other Tait graph, in a DiagramAnalysis)."""
+    """p_G(x,y,u,v) = p_G*(y,x,v,u), with p_G* summed over `dual`, an
+    analysis of a map equal or isomorphic to the dual (the other Tait graph,
+    in a full report), or else over the analysis's own dual map."""
     analysis = analysis or MapAnalysis(m, cap)
     p = analysis.p
-    q = analysis.dual.p
+    q = (dual or analysis.dual).p
     swapped = LaurentPoly(
         P_VARS, {(b, a, vv, u): coeff for (a, b, u, vv), coeff in q.terms.items()}
     )
@@ -930,8 +940,8 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
         verdicts.append(result if result is not None else _skipped(name, why))
 
     if has_tait:
-        for side, graph in (("G_A", g_a), ("G_B", g_b)):
-            result = verify_polynomial_duality(graph.map, analysis=graph)
+        for side, graph, other in (("G_A", g_a, g_b), ("G_B", g_b, g_a)):
+            result = verify_polynomial_duality(graph.map, analysis=graph, dual=other)
             verdicts.append(Verdict(f"polynomial_duality[{side}]", result.status, result.detail))
             rows = verify_krushkal_coeffs(graph.map, analysis=graph)
             verdicts.extend(Verdict(f"{row.name}[{side}]", row.status, row.detail) for row in rows)

@@ -10,7 +10,13 @@ One ring implementation:
   is a nonnegative integer.  It adds the queries J_K needs and renders
   z first, in ascending (z, t) order.
 
-Both are immutable after construction and hash/compare by value.
+Both are immutable after construction and hash/compare by value.  Public
+construction, parse and from_json validate every term; the ring operations
+work on raw term dicts and wrap each result once, unchecked (``_like``),
+since sums and products of valid terms are valid.  The curve binomial
+(-t^(-1/2) - t^(1/2))^e has closed-form terms (``curve_binomial_terms``),
+from which the state sum and the Jones specialization build their results
+without ring arithmetic.
 Canonical text looks like ``3*V*X^-1 + 6`` and ``-t^-9/2 + 6*z*t^-3``;
 JSON is a list of ``{"coeff": c, "exps": [...]}`` objects in the same
 canonical term order.
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import add_entry
@@ -33,6 +41,18 @@ _INT = re.compile(r"^-?\d+$")
 def _exp_str(stored: int, scale: int) -> str:
     q = Fraction(stored, scale)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+Terms = dict[tuple[int, ...], int]
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """The terms of the product of two polynomials given by their terms."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            add_entry(out, tuple(map(add, e1, e2)), c1 * c2)
+    return out
 
 
 class LaurentPoly:
@@ -66,10 +86,17 @@ class LaurentPoly:
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover
         raise AttributeError("LaurentPoly is immutable")
 
-    def _like(self, terms: Mapping[tuple[int, ...], int]) -> "LaurentPoly":
-        """A polynomial of this ring and class: the one constructor the ring
-        operations build their results with."""
-        return LaurentPoly(self.variables, terms, self.scales)
+    def _like(self, terms: Terms) -> "LaurentPoly":
+        """A polynomial of this ring and class with the given terms, taken
+        as they are: the one constructor the ring operations build their
+        results with.  The terms must be clean: tuple exponent vectors of the
+        ring's length, nonzero int coefficients and (in JKPoly) z-powers of
+        at least 0."""
+        poly = object.__new__(type(self))
+        object.__setattr__(poly, "variables", self.variables)
+        object.__setattr__(poly, "scales", self.scales)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors ----------------------------------------------------
 
@@ -107,7 +134,7 @@ class LaurentPoly:
             raise ValueError("polynomials live in different rings")
 
     def _constant(self, c: int) -> "LaurentPoly":
-        return self._like({(0,) * len(self.variables): c})
+        return self._like({(0,) * len(self.variables): int(c)} if c else {})
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -132,20 +159,19 @@ class LaurentPoly:
         if isinstance(other, int):
             other = self._constant(other)
         self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_entry(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return self._like(out)
+        return self._like(_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            return self._inverse() ** (-n)
-        result = self._constant(1)
-        for _ in range(n):
-            result = result * self
+        return self._like(self._power(n))
+
+    def _power(self, n: int) -> Terms:
+        """The terms of self ** n."""
+        base = self._inverse().terms if n < 0 else self.terms
+        result = {(0,) * len(self.variables): 1}
+        for _ in range(abs(n)):
+            result = _product(result, base)
         return result
 
     def _inverse(self) -> "LaurentPoly":
@@ -210,23 +236,24 @@ class LaurentPoly:
 
         Negative powers require the target to be an invertible monomial
         (single term, coefficient +-1); otherwise NonMonomialDenominator.
-        Each power of a target is computed once, and the terms' images
-        accumulate in one dict.
+        Each power of a target is computed once, on term dicts, and the
+        terms' images accumulate in one dict.
         """
         targets = [assignments[name] for name in self.variables]
         ring = targets[0]
         for t in targets[1:]:
             ring._check_compatible(t)
-        powers: dict[tuple[int, int], LaurentPoly] = {}
+        one = (0,) * len(ring.variables)
+        powers: dict[tuple[int, int], Terms] = {}
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
-            prod = ring._constant(coeff)
+            prod = {one: coeff}
             for i, e in enumerate(exps):
                 if e:
                     if (i, e) not in powers:
-                        powers[i, e] = targets[i] ** e
-                    prod = prod * powers[i, e]
-            for key, value in prod.terms.items():
+                        powers[i, e] = targets[i]._power(e)
+                    prod = _product(prod, powers[i, e])
+            for key, value in prod.items():
                 add_entry(out, key, value)
         return ring._like(out)
 
@@ -346,8 +373,9 @@ class JKPoly(LaurentPoly):
                 raise ValueError(f"negative z-power {zp}")
         super().__init__(_JK_RING, terms, _JK_SCALES)
 
-    def _like(self, terms: Mapping[tuple[int, int], int]) -> "JKPoly":
-        return JKPoly(terms)
+    def _inverse(self) -> "JKPoly":
+        # the one ring operation that can make a z-power negative
+        return JKPoly(super()._inverse().terms)
 
     # bound on the class itself, so that tools patching JKPoly's own
     # methods find them
@@ -394,11 +422,13 @@ class JKPoly(LaurentPoly):
 
     def jones_specialization(self) -> LaurentPoly:
         """Set z = -t^(-1/2) - t^(1/2); returns a Laurent polynomial in t
-        (scale 4, so quarter-exponents remain representable)."""
-        total = JKPoly.zero()
+        (scale 4, so quarter-exponents remain representable).  Each z^r
+        expands into the terms of curve_binomial_terms(r)."""
+        out: dict[tuple[int], int] = {}
         for (tq, zp), coeff in self.terms.items():
-            total = total + JKPoly.term(coeff, tq) * CURVE_BINOMIAL ** zp
-        return LaurentPoly(("t",), {(tq,): c for (tq, _), c in total.terms.items()}, (4,))
+            for shift, binomial in curve_binomial_terms(zp):
+                add_entry(out, (tq + shift,), coeff * binomial)
+        return LaurentPoly(("t",), out, (4,))
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -427,3 +457,10 @@ class JKPoly(LaurentPoly):
 # -t^(-1/2) - t^(1/2): a state's weight carries it to the power k(s) - 1,
 # and the Jones specialization sets z to it
 CURVE_BINOMIAL = JKPoly({(-2, 0): -1, (2, 0): -1})
+
+
+def curve_binomial_terms(e: int) -> list[tuple[int, int]]:
+    """The terms (t_quarter, coeff) of CURVE_BINOMIAL ** e for e >= 0, by the
+    binomial theorem: (-1)^e C(e, j) t^((4j - 2e)/4) for j = 0..e."""
+    sign = -1 if e % 2 else 1
+    return [(4 * j - 2 * e, sign * comb(e, j)) for j in range(e + 1)]

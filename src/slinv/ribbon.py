@@ -12,11 +12,11 @@ sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 
 Each edge carries a designated tail half-edge, giving it a direction used
 for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
-k decides trivial loops and parallel edges; subgraph_rows counts the same
-numbers for every subgraph in one depth-first walk.  HomologyContext
-realizes H1 over the rationals as Z1(G)/B, B spanned by the face boundaries:
-it is the oracle of those integer routes and names the curve classes of
-`slinv states --dump`.
+k decides trivial loops and parallel edges; walk_subgraphs counts the same
+numbers for every subgraph in one depth-first walk, which subgraph_rows
+lists and subgraph_tally tallies.  HomologyContext realizes H1 over the
+rationals as Z1(G)/B, B spanned by the face boundaries: it is the oracle of
+those integer routes and names the curve classes of `slinv states --dump`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._linalg import Echelon, Vec, add_entry
 from .errors import (
@@ -609,11 +609,35 @@ def _subgraph_row(
     return c, bc, s, s_perp, (size - m.V + c) - m.genus - s // 2 + s_perp // 2
 
 
-def subgraph_rows(m: CombinatorialMap) -> Iterator[tuple[int, int, int, int, int]]:
+def subgraph_rows(m: CombinatorialMap) -> list[tuple[int, int, int, int, int]]:
     """subgraph_numbers(m, H) of every spanning subgraph H, in mask order
-    (bit e set means e in H), by one depth-first walk that decides edge E-1
-    at the root and edge 0 at the leaves, out before in, and undoes each
-    step on its way back: O(1) amortized work per subgraph.
+    (bit e set means e in H): walk_subgraphs with a list sink."""
+    rows: list[tuple[int, int, int, int, int]] = []
+    walk_subgraphs(m, rows=rows)
+    return rows
+
+
+def subgraph_tally(m: CombinatorialMap) -> dict[tuple[int, int, int, int, int], int]:
+    """How many spanning subgraphs have each row of subgraph_rows:
+    walk_subgraphs with a tally sink."""
+    tally: dict[tuple[int, int, int, int, int], int] = {}
+    walk_subgraphs(m, tally=tally)
+    return tally
+
+
+def walk_subgraphs(
+    m: CombinatorialMap,
+    *,
+    tally: dict[tuple[int, int, int, int, int], int] | None = None,
+    rows: list[tuple[int, int, int, int, int]] | None = None,
+) -> None:
+    """subgraph_numbers(m, H) of every spanning subgraph H, counted into
+    `tally` or, when `tally` is None, appended to `rows` in mask order.  One
+    depth-first walk decides edge E-1 at the root and edge 0 at the leaves,
+    out before in, and undoes each step on its way back: O(1) amortized work
+    per subgraph.  The leaves record (|H|, bc, c, c*), from which
+    _subgraph_row derives the rows afterwards, once per distinct count
+    when tallying.
 
     c and c* come from undoable union-finds on the vertices over H and on
     the faces over E - H.  bc counts the closed curves of the medial
@@ -624,40 +648,60 @@ def subgraph_rows(m: CombinatorialMap) -> Iterator[tuple[int, int, int, int, int
     sides of it, and (2t+1, 2t) and (2h+1, 2h) when out, so that the curve
     turns back at both ends.
     """
+    counts: dict[tuple[int, int, int, int], int] | None = None if tally is None else {}
+    keys: list[tuple[int, int, int, int]] = []
     if m.E == 0:
-        yield 1, 1, 0, 0, 0
-        return
-    sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
-    ends = [0] * (2 * m.n_half)
-    for x in range(m.n_half):
-        a, b = 2 * x, 2 * sigma[x] + 1
-        ends[a], ends[b] = b, a
-    vertices, faces = UndoableUnionFind(m.V), UndoableUnionFind(m.F)
-    steps = []
-    for t in m.edge_tails:
-        h = alpha[t]
-        out = (2 * t + 1, 2 * t, 2 * h + 1, 2 * h, faces, face_of[t], face_of[h])
-        inside = (2 * t + 1, 2 * h, 2 * h + 1, 2 * t, vertices, vertex_of[t], vertex_of[h])
-        steps.append((out, inside))
-    yield from _subgraph_walk((m, steps, ends, vertices, faces), m.E - 1, 0, 0)
+        _record(counts, keys, (0, 1, 1, 1))
+    else:
+        sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
+        ends = [0] * (2 * m.n_half)
+        for x in range(m.n_half):
+            a, b = 2 * x, 2 * sigma[x] + 1
+            ends[a], ends[b] = b, a
+        vertices, faces = UndoableUnionFind(m.V), UndoableUnionFind(m.F)
+        steps = []
+        for t in m.edge_tails:
+            h = alpha[t]
+            out = (2 * t + 1, 2 * t, 2 * h + 1, 2 * h, faces, face_of[t], face_of[h])
+            inside = (2 * t + 1, 2 * h, 2 * h + 1, 2 * t, vertices, vertex_of[t], vertex_of[h])
+            steps.append((out, inside))
+        _subgraph_walk((steps, ends, vertices, faces, counts, keys), m.E - 1, 0, 0)
+    if counts is None:
+        rows.extend(_subgraph_row(m, *key) for key in keys)
+    else:
+        # no two keys share a row, so each count carries over whole
+        for key, n in counts.items():
+            tally[_subgraph_row(m, *key)] = n
 
 
-def _subgraph_walk(
-    walk: tuple, e: int, n_in: int, curves: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The rows of subgraph_rows below one choice of the edges above e, of
-    which n_in are in H and which close `curves` medial curves.  Module-level
-    rather than nested in subgraph_rows: a nested generator that calls itself
-    is a reference cycle, which keeps each walk alive until the cyclic
-    collector runs."""
-    m, steps, ends, vertices, faces = walk
+def _record(tally: dict | None, rows: list, row: tuple) -> None:
+    """Count `row` into `tally`, or append it to `rows` when `tally` is
+    None: what both depth-first walks do at a leaf, inline there, and with
+    the one row of the 0-crossing diagram and of the edgeless map."""
+    if tally is None:
+        rows.append(row)
+    else:
+        tally[row] = tally.get(row, 0) + 1
+
+
+def _subgraph_walk(walk: tuple, e: int, n_in: int, curves: int) -> None:
+    """The counts of walk_subgraphs below one choice of the edges above e,
+    of which n_in are in H and which close `curves` medial curves.
+    Module-level rather than nested in walk_subgraphs: a nested function
+    that calls itself is a reference cycle, which keeps each walk alive
+    until the cyclic collector runs."""
+    steps, ends, vertices, faces, counts, keys = walk
     for inside, (x1, y1, x2, y2, forest, i, j) in enumerate(steps[e]):
         bc = curves + smooth(ends, x1, y1, x2, y2)
         merged = forest.union(i, j)
         if e:
-            yield from _subgraph_walk(walk, e - 1, n_in + inside, bc)
+            _subgraph_walk(walk, e - 1, n_in + inside, bc)
         else:
-            yield _subgraph_row(m, n_in + inside, bc, vertices.classes, faces.classes)
+            key = (n_in + inside, bc, vertices.classes, faces.classes)
+            if counts is None:
+                keys.append(key)
+            else:
+                counts[key] = counts.get(key, 0) + 1
         forest.undo(merged)
         unsmooth(ends, x1, y1, x2, y2)
 
@@ -784,17 +828,27 @@ def edge_class(e: int, ctx: HomologyContext) -> Vec:
     return ctx.class_of({e: Fraction(1)})
 
 
-def trivial_loops(m: CombinatorialMap) -> list[int]:
-    """The homologically trivial loops of m: the edges e with k({e}) = 1
+def edge_kernels(m: CombinatorialMap) -> list[int]:
+    """k({e}) of every edge e: 1 on a homologically trivial loop, else 0
     (b1({e}) is 1 only on a loop)."""
-    return [e for e in m.edge_ids if subgraph_numbers(m, (e,))[4] == 1]
+    return [subgraph_numbers(m, (e,))[4] for e in m.edge_ids]
 
 
-def parallel_pairs(m: CombinatorialMap) -> frozenset[tuple[int, int]]:
-    """The pairs e < f of parallel edges: k({e}) = k({f}) and k({e, f}) >= 1.
-    Dependent loop classes agree up to sign: the nonzero class of a simple
-    closed curve is primitive (Farb-Margalit, Primer on MCGs, 2012, ch. 6)."""
-    k = [subgraph_numbers(m, (e,))[4] for e in m.edge_ids]
+def trivial_loops(m: CombinatorialMap, k: Sequence[int] | None = None) -> list[int]:
+    """The homologically trivial loops of m: the edges e with k({e}) = 1,
+    given the edge_kernels `k` or computing them."""
+    k = edge_kernels(m) if k is None else k
+    return [e for e in m.edge_ids if k[e] == 1]
+
+
+def parallel_pairs(
+    m: CombinatorialMap, k: Sequence[int] | None = None
+) -> frozenset[tuple[int, int]]:
+    """The pairs e < f of parallel edges: k({e}) = k({f}) and k({e, f}) >= 1,
+    given the edge_kernels `k` or computing them.  Dependent loop classes
+    agree up to sign: the nonzero class of a simple closed curve is
+    primitive (Farb-Margalit, Primer on MCGs, 2012, ch. 6)."""
+    k = edge_kernels(m) if k is None else k
     return frozenset(
         (e, f)
         for e, f in itertools.combinations(m.edge_ids, 2)

@@ -1,5 +1,7 @@
 """Diagram parsing, smoothing states, checkerboard structure, Tait graphs."""
 
+from collections import Counter
+
 import pytest
 
 from slinv import (
@@ -21,6 +23,7 @@ from slinv import (
     reduced_flags,
     serialize_diagram,
     state_numbers,
+    state_tally,
     subgraph_profile,
     tait_graphs,
     tau,
@@ -268,12 +271,15 @@ def test_state_enumeration_respects_the_cap(diagrams):
         list(enumerate_states(diagrams["trefoil.sld"], cap=2))
     with pytest.raises(CrossingCapExceeded):
         list(state_numbers(diagrams["trefoil.sld"], cap=2))
+    with pytest.raises(CrossingCapExceeded):
+        state_tally(diagrams["trefoil.sld"], cap=2)
 
 
 def test_state_numbers_match_the_homology_states(diagrams, random_diagrams):
-    """The integer (b, |s|, r) rows against the rational-homology states, on
-    every state of the corpus (the non-colorable knot and the 0-crossing
-    unknot included) and of seeded random torus diagrams up to 8 crossings."""
+    """The integer (b, |s|, r) rows, listed and tallied by the one walk,
+    against the rational-homology states, on every state of the corpus (the
+    non-colorable knot and the 0-crossing unknot included) and of seeded
+    random torus diagrams up to 8 crossings."""
     labelled = list(diagrams.items()) + [("unknot", parse_diagram(UNKNOT))]
     labelled += [(f"random[{i}]", d) for i, d in enumerate(random_diagrams)]
     labelled += [
@@ -283,6 +289,7 @@ def test_state_numbers_match_the_homology_states(diagrams, random_diagrams):
     for name, d in labelled:
         expected = [(s.b, s.size, s.r) for s in enumerate_states(d)]
         assert list(state_numbers(d)) == expected, name
+        assert state_tally(d) == Counter(state_numbers(d)), name
 
 
 def test_states_match_shaded_graph_subgraph_profiles(colorable_diagrams, random_diagrams):

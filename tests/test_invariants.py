@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from slinv import (
+    CURVE_BINOMIAL,
     Coloring,
     CombinatorialMap,
     CrossingCapExceeded,
@@ -36,6 +37,7 @@ from slinv import (
     reduce,
     reduced_flags,
     state_numbers,
+    state_tally,
     tait_graphs,
     tau,
     tau_formula,
@@ -45,9 +47,10 @@ from slinv import (
     verify_krushkal_coeffs,
     verify_twist_formula,
     volume_bounds,
+    writhe,
 )
 from slinv.cli import main
-from slinv.invariants import BIG_VARS, P_VARS
+from slinv.invariants import BIG_VARS, P_VARS, _state_sum
 
 from conftest import corpus_text, sample_torus_diagrams
 
@@ -278,6 +281,58 @@ def test_jones_routes_agree_on_colorable_corpus(colorable_diagrams):
         assert jones_krushkal_statesum(d) == jones_krushkal_via_P(d), name
 
 
+def test_state_sum_matches_the_sum_built_in_the_ring(colorable_diagrams):
+    """_state_sum, which adds the curve binomial's terms straight into J_K,
+    against (-1)^w t^(3w/4) * sum of n t^((b-a)/4) z^r CURVE_BINOMIAL^(k-1)
+    over the tally, built with the ring's own arithmetic, on the corpus and
+    seeded random torus diagrams up to 8 crossings."""
+    labelled = list(colorable_diagrams.items())
+    randoms = sample_torus_diagrams(seed=2029, count=10, c_lo=3, c_hi=7)
+    randoms += sample_torus_diagrams(seed=2030, count=4, c_lo=8, c_hi=8)
+    labelled += [(f"random[{i}] c={d.crossings}", d) for i, d in enumerate(randoms)]
+    for name, d in labelled:
+        c, w = d.crossings, writhe(d)
+        tally = state_tally(d)
+        expected = JKPoly.zero()
+        for (b, size, r), n in tally.items():
+            weight = JKPoly.term(1, 2 * b - c, r) * CURVE_BINOMIAL ** (size - r - 1)
+            expected = expected + n * weight
+        expected = JKPoly.term((-1) ** w, 3 * w) * expected
+        assert _state_sum(d, tally) == (expected, 0), name
+
+
+def test_the_state_sum_and_its_jones_specialization_do_no_ring_arithmetic(
+    monkeypatch, tmp_path, capsys
+):
+    """_state_sum, jones_specialization and `slinv states` build their
+    polynomials from the curve binomial's terms, with no LaurentPoly or
+    JKPoly ring operation."""
+    (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=8, c_hi=8)
+    path = tmp_path / "d.sld"
+    path.write_text(d.to_text())
+    tally = state_tally(d)
+    calls = []
+
+    def counted(name, original):
+        def ring_op(*args):
+            calls.append(name)
+            return original(*args)
+
+        return ring_op
+
+    for cls in (LaurentPoly, JKPoly):
+        for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}", vars(cls)[name]))
+    jk, bad = _state_sum(d, tally)
+    jk.jones_specialization()
+    assert main(["states", str(path)]) == 0
+    assert (bad, calls) == (0, [])
+    jk * jk + CURVE_BINOMIAL ** 2
+    assert calls == ["JKPoly.__mul__", "LaurentPoly.__pow__", "JKPoly.__add__"]
+    assert capsys.readouterr().out.count(" weight ") == 2 ** d.crossings
+
+
 def test_trivial_jones_on_a_virtual_knot(diagrams):
     jones = jones_krushkal_statesum(diagrams["vk4_106.sld"]).jones_specialization()
     assert jones == LaurentPoly.const(T_RING, 1, T_SCALE)
@@ -373,7 +428,7 @@ def test_each_report_computes_each_sum_once(monkeypatch, diagrams, tmp_path):
     for run, distinct_maps, enumerations in runs:
         with monkeypatch.context() as patch:
             sums = _count_calls(patch, "krushkal", slinv.invariants.krushkal)
-            rows = _count_calls(patch, "state_numbers", slinv.diagram.state_numbers)
+            rows = _count_calls(patch, "walk_states", slinv.diagram.walk_states)
             states = _count_calls(patch, "enumerate_states", slinv.diagram.enumerate_states)
             taits = _count_calls(patch, "tait_graphs", slinv.diagram.tait_graphs)
             run()
@@ -395,7 +450,8 @@ REDUCED_C10_ARCS = (
 def test_each_report_decides_each_crossing_pair_once(monkeypatch):
     """reduce and the twist number read one set of parallel pairs per Tait
     graph, and the flags, reduce and the loop-deletion verdict one list of
-    trivial loops: one `parallel_pairs` and one `trivial_loops` call on each."""
+    trivial loops: one `parallel_pairs` and one `trivial_loops` call on each,
+    both derived from one k({e}) per edge."""
     import slinv.ribbon
 
     lines = [f"arc {a} {ends}" for a, ends in enumerate(REDUCED_C10_ARCS)]
@@ -403,11 +459,14 @@ def test_each_report_decides_each_crossing_pair_once(monkeypatch):
     assert reduced_flags(d).nugatory_free
     pairs = _count_calls(monkeypatch, "parallel_pairs", slinv.ribbon.parallel_pairs)
     loops = _count_calls(monkeypatch, "trivial_loops", slinv.ribbon.trivial_loops)
+    numbers = _count_calls(monkeypatch, "subgraph_numbers", slinv.ribbon.subgraph_numbers)
     assert full_report(d).tau == 6
     for calls in (pairs, loops):
         per_map = Counter(args[0] for args in calls)
         assert len(per_map) == 2
         assert set(per_map.values()) == {1}
+    single_edge = Counter(m for m, edges in numbers if len(edges) == 1)
+    assert [(m.E, n) for m, n in single_edge.items()] == [(10, 10), (10, 10)]
 
 
 def test_the_sums_build_no_fractions():
@@ -434,22 +493,31 @@ def test_the_sums_build_no_fractions():
         Fraction.__new__ = original
 
 
-def test_the_sums_leave_no_cyclic_garbage():
-    """The depth-first walks of the two sums hold no reference cycle, so
-    reference counting frees each walk and its rows on return; a cycle would
-    keep them alive until the cyclic collector runs, and raise peak memory."""
+def test_the_sums_leave_no_cyclic_garbage(tmp_path, capsys):
+    """The depth-first walks of the two sums, a full report and the
+    `krushkal` command hold no reference cycle, so reference counting frees
+    what each builds on return; a cycle would keep it alive until the
+    cyclic collector runs, and raise peak memory."""
     (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=8, c_hi=8)
     g_a = tait_graphs(d, checkerboard(d)).g_a
     assert (d.crossings, g_a.E) == (8, 8)
-    krushkal(g_a)
-    list(state_numbers(d))
+    loop_map = tmp_path / "trivial_loop.rg"
+    loop_map.write_text(corpus_text("trivial_loop.rg"))
+    runs = {
+        "krushkal": lambda: krushkal(g_a),
+        "state_numbers": lambda: state_numbers(d),
+        "state_tally": lambda: state_tally(d),
+        "full_report": lambda: full_report(d),
+        "slinv krushkal": lambda: main(["krushkal", str(loop_map)]),
+    }
+    for run in runs.values():
+        run()
     gc.collect()
     gc.disable()
     try:
-        krushkal(g_a)
-        assert gc.collect() == 0
-        list(state_numbers(d))
-        assert gc.collect() == 0
+        for name, run in runs.items():
+            run()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 

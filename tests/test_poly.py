@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slinv import JKPoly, LaurentPoly, NonMonomialDenominator, ZeroPolynomial
+from slinv import (
+    CURVE_BINOMIAL,
+    JKPoly,
+    LaurentPoly,
+    NonMonomialDenominator,
+    ZeroPolynomial,
+    curve_binomial_terms,
+)
 
 RING = ("x", "y")
 
@@ -133,6 +142,45 @@ def test_substitution_shift_round_trips():
         assert back == p
 
 
+TARGETS = ("X", "Y")
+exponents = st.integers(-3, 3)
+coefficients = st.integers(-5, 5).filter(bool)
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in (x, y) and targets for x and y in a (X, Y) ring of
+    scales (2, 1): an invertible monomial for a variable that p raises to a
+    negative power, else any polynomial."""
+    terms = draw(st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=5))
+    p = LaurentPoly(RING, terms)
+    targets = {}
+    for i, name in enumerate(RING):
+        if any(exps[i] < 0 for exps in terms):
+            unit = draw(st.sampled_from((1, -1)))
+            terms_of = st.dictionaries(
+                st.tuples(exponents, exponents), st.just(unit), min_size=1, max_size=1
+            )
+        else:
+            terms_of = st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=4)
+        targets[name] = LaurentPoly(TARGETS, draw(terms_of), (2, 1))
+    point = {
+        name: draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+        for name in TARGETS
+    }
+    return p, targets, point
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitution_commutes_with_evaluation(case):
+    """p(T_x, T_y) at a rational point equals p at the targets' values
+    there: evaluation alone, no ring multiplication, on the right."""
+    p, targets, point = case
+    values = {name: target.evaluate(point) for name, target in targets.items()}
+    assert p.substitute(targets).evaluate(point) == p.evaluate(values)
+
+
 def test_substitution_needs_monomial_targets_for_negative_powers():
     p = LaurentPoly(RING, {(-1, 0): 1})
     X = LaurentPoly.var(("X",), "X")
@@ -147,6 +195,20 @@ def test_substitution_needs_monomial_targets_for_negative_powers():
 def test_jk_terms_reject_negative_z_powers():
     with pytest.raises(ValueError):
         JKPoly({(0, -1): 1})
+
+
+def test_jk_ring_results_keep_z_powers_nonnegative():
+    # the ring wraps its results unchecked, but inverting z is refused
+    with pytest.raises(ValueError):
+        JKPoly.term(1, 0, 1) ** -1
+    assert JKPoly.term(-1, 4, 0) ** -2 == JKPoly.term(1, -8, 0)
+    assert type(JKPoly.term(1, 0, 1) * 3) is JKPoly
+
+
+def test_curve_binomial_terms_expand_its_powers():
+    for e in range(25):
+        expected = {(tq,): coeff for (tq, _), coeff in (CURVE_BINOMIAL ** e).terms.items()}
+        assert {(tq,): coeff for tq, coeff in curve_binomial_terms(e)} == expected, e
 
 
 def test_jk_arithmetic_and_queries():

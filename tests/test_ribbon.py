@@ -35,9 +35,10 @@ from slinv import (
     subgraph_numbers,
     subgraph_profile,
     subgraph_rows,
+    subgraph_tally,
     tait_graphs,
 )
-from slinv.ribbon import parallel_pairs, trivial_loops
+from slinv.ribbon import edge_kernels, parallel_pairs, trivial_loops
 
 from conftest import RG_NAMES, corpus_text, sample_ribbon_maps, sample_torus_diagrams
 
@@ -97,8 +98,9 @@ def test_perpendicular_genus_two_ways(exhaustive_profiles):
 def assert_numbers_match_profiles(name, m):
     """subgraph_numbers against the rational-homology profile, field by
     field, on every spanning subgraph of m; the depth-first subgraph_rows,
-    and the krushkal tally of them, against those per-mask rows; and the
-    trivial loops and parallel pairs it decides against the rational route."""
+    the walk's own tally and the krushkal tally, against those per-mask
+    rows; and the trivial loops and parallel pairs it decides, from the
+    single-edge kernels or not, against the rational route."""
     ctx = HomologyContext(m)
     rows = []
     for mask in range(1 << m.E):
@@ -108,12 +110,14 @@ def assert_numbers_match_profiles(name, m):
         assert subgraph_numbers(m, edges) == expected, (name, edges)
         rows.append(expected)
     assert list(subgraph_rows(m)) == rows, name
+    assert subgraph_tally(m) == Counter(subgraph_rows(m)), name
     tally = Counter((c - 1, k, s // 2, s_perp // 2) for c, _, s, s_perp, k in rows)
     assert krushkal(m).terms == tally, name
     pairs = {(e, f) for e, f in itertools.combinations(m.edge_ids, 2) if parallel(e, f, ctx)}
-    assert parallel_pairs(m) == pairs, name
+    k = edge_kernels(m)
+    assert parallel_pairs(m) == parallel_pairs(m, k) == pairs, name
     loops = [e for e in m.edge_ids if m.is_loop(e) and edge_class(e, ctx) == {}]
-    assert trivial_loops(m) == loops, name
+    assert trivial_loops(m) == trivial_loops(m, k) == loops, name
 
 
 def test_subgraph_numbers_match_the_homology_profiles(study_maps):
