@@ -32,12 +32,9 @@ from .errors import (
 from .ribbon import (
     CombinatorialMap,
     HomologyContext,
-    UndoableUnionFind,
-    _record,
     chain_of_walk,
-    smooth,
     trivial_loops,
-    unsmooth,
+    walk_choices,
 )
 
 End = tuple[int, int]  # (crossing, slot)
@@ -497,9 +494,9 @@ def walk_states(
 ) -> None:
     """The row (b, |s|, r) of every smoothing state, from integer counts
     alone, counted into `tally` or, when `tally` is None, appended to `rows`
-    in bitmask order (bit i set = B at crossing i).  One depth-first walk
-    decides crossing c-1 at the root and crossing 0 at the leaves, A before
-    B, and undoes each step on its way back: O(1) amortized work per state.
+    in bitmask order (bit i set = B at crossing i): ribbon.walk_choices with
+    the A-smoothing of crossing i as its first choice and the B-smoothing
+    as its second.
 
     The curves are the arcs of the diagram joined at the crossings: starting
     from the pairing alpha of each half-edge with the other end of its arc,
@@ -510,42 +507,27 @@ def walk_states(
     r = |s| - R + 1.  The regions are the faces of the diagram joined through
     the crossings: the A-smoothing merges the corners led by slots 0 and 2,
     the B-smoothing those led by 1 and 3, and the corner led by slot j lies
-    in the face of half-edge 4*cr + (j+1) % 4; an undoable union-find over
-    the faces counts them.
+    in the face of half-edge 4*cr + (j+1) % 4; a union-find over the faces
+    counts them.  The 0-crossing unknot is one curve cutting the sphere in
+    two.
     """
     c = d.crossings
     if c > cap:
         raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
     if c == 0:
-        _record(tally, rows, (0, 1, 0))
+        walk_choices((), [], (2,), _state_row, curves=1, tally=tally, rows=rows)
         return
     m = d.cmap
     face_of = m.face_of
-    regions = UndoableUnionFind(m.F)
-    steps = []
+    choices = []
     for cr in range(c):
         x = 4 * cr
-        a = (x + 1, x + 2, x + 3, x, face_of[x + 1], face_of[x + 3])
-        b = (x, x + 1, x + 2, x + 3, face_of[x + 2], face_of[x])
-        steps.append((a, b))
-    _state_walk((steps, list(m.alpha), regions, tally, rows), c - 1, 0, 0)
+        a = (x + 1, x + 2, x + 3, x, 0, face_of[x + 1], face_of[x + 3])
+        b = (x, x + 1, x + 2, x + 3, 0, face_of[x + 2], face_of[x])
+        choices.append((a, b))
+    walk_choices(choices, list(m.alpha), (m.F,), _state_row, tally=tally, rows=rows)
 
 
-def _state_walk(walk: tuple, cr: int, b: int, curves: int) -> None:
-    """The rows of walk_states below one choice of the crossings above cr,
-    b of them B-smoothed and closing `curves` curves.  Module-level for the
-    reason given at ribbon._subgraph_walk."""
-    steps, ends, regions, tally, rows = walk
-    for smoothing, (x1, y1, x2, y2, f, g) in enumerate(steps[cr]):
-        size = curves + smooth(ends, x1, y1, x2, y2)
-        merged = regions.union(f, g)
-        if cr:
-            _state_walk(walk, cr - 1, b + smoothing, size)
-        else:
-            row = (b + smoothing, size, size - regions.classes + 1)
-            if tally is None:
-                rows.append(row)
-            else:
-                tally[row] = tally.get(row, 0) + 1
-        regions.undo(merged)
-        unsmooth(ends, x1, y1, x2, y2)
+def _state_row(b: int, size: int, regions: int) -> tuple[int, int, int]:
+    """(b, |s|, r) of a state with `size` curves cutting `regions` regions."""
+    return b, size, size - regions + 1

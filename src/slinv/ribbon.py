@@ -13,8 +13,9 @@ sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 Each edge carries a designated tail half-edge, giving it a direction used
 for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
 k decides trivial loops and parallel edges; walk_subgraphs counts the same
-numbers for every subgraph in one depth-first walk, which subgraph_rows
-lists and subgraph_tally tallies.  HomologyContext realizes H1 over the
+numbers for every subgraph in walk_choices, the depth-first walk with one
+cut that the state sum shares, which subgraph_rows lists and subgraph_tally
+tallies.  HomologyContext realizes H1 over the
 rationals as Z1(G)/B, B spanned by the face boundaries: it is the oracle of
 those integer routes and names the curve classes of `slinv states --dump`.
 """
@@ -24,8 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 from ._linalg import Echelon, Vec, add_entry
 from .errors import (
@@ -632,78 +633,188 @@ def walk_subgraphs(
     rows: list[tuple[int, int, int, int, int]] | None = None,
 ) -> None:
     """subgraph_numbers(m, H) of every spanning subgraph H, counted into
-    `tally` or, when `tally` is None, appended to `rows` in mask order.  One
-    depth-first walk decides edge E-1 at the root and edge 0 at the leaves,
-    out before in, and undoes each step on its way back: O(1) amortized work
-    per subgraph.  The leaves record (|H|, bc, c, c*), from which
-    _subgraph_row derives the rows afterwards, once per distinct count
-    when tallying.
+    `tally` or, when `tally` is None, appended to `rows` in mask order:
+    walk_choices with edge e out of H as its first choice and in H as its
+    second, and _subgraph_row of each leaf's (|H|, bc, c, c*).
 
-    c and c* come from undoable union-finds on the vertices over H and on
+    c and c* are the classes of union-finds on the vertices over H and on
     the faces over E - H.  bc counts the closed curves of the medial
-    smoothing: half-edge x has an end 2x at the corner after it and an end
-    2x+1 at the corner before it, and corner x joins end 2x to end
-    2*sigma(x)+1.  The edge with tail t and head h = alpha(t) joins
-    (2t+1, 2h) and (2h+1, 2t) when in H, so that the curve runs along both
-    sides of it, and (2t+1, 2t) and (2h+1, 2h) when out, so that the curve
-    turns back at both ends.
+    smoothing: the edge e with tail t and head h = alpha(t) owns the ends
+    4e and 4e+1 at the corners after and before t, and 4e+2 and 4e+3 at
+    those after and before h, and each corner joins the end after its
+    half-edge x to the end before sigma(x).  The edge joins (4e+1, 4e+2)
+    and (4e+3, 4e) when in H, so that the curve runs along both sides of
+    it, and (4e+1, 4e) and (4e+3, 4e+2) when out, so that the curve turns
+    back at both ends.  The edgeless map's lone vertex is one boundary
+    circle.
     """
-    counts: dict[tuple[int, int, int, int], int] | None = None if tally is None else {}
-    keys: list[tuple[int, int, int, int]] = []
-    if m.E == 0:
-        _record(counts, keys, (0, 1, 1, 1))
-    else:
-        sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
-        ends = [0] * (2 * m.n_half)
-        for x in range(m.n_half):
-            a, b = 2 * x, 2 * sigma[x] + 1
-            ends[a], ends[b] = b, a
-        vertices, faces = UndoableUnionFind(m.V), UndoableUnionFind(m.F)
-        steps = []
-        for t in m.edge_tails:
-            h = alpha[t]
-            out = (2 * t + 1, 2 * t, 2 * h + 1, 2 * h, faces, face_of[t], face_of[h])
-            inside = (2 * t + 1, 2 * h, 2 * h + 1, 2 * t, vertices, vertex_of[t], vertex_of[h])
-            steps.append((out, inside))
-        _subgraph_walk((steps, ends, vertices, faces, counts, keys), m.E - 1, 0, 0)
-    if counts is None:
-        rows.extend(_subgraph_row(m, *key) for key in keys)
-    else:
-        # no two keys share a row, so each count carries over whole
-        for key, n in counts.items():
-            tally[_subgraph_row(m, *key)] = n
+    sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
+    after = [0] * m.n_half
+    choices = []
+    for e, t in enumerate(m.edge_tails):
+        h = alpha[t]
+        x = after[t] = 4 * e
+        after[h] = x + 2
+        out = (x + 1, x, x + 3, x + 2, 1, face_of[t], face_of[h])
+        inside = (x + 1, x + 2, x + 3, x, 0, vertex_of[t], vertex_of[h])
+        choices.append((out, inside))
+    ends = [0] * (2 * m.n_half)
+    for x in range(m.n_half):
+        a, b = after[x], after[sigma[x]] + 1
+        ends[a], ends[b] = b, a
+    row = partial(_subgraph_row, m)
+    walk_choices(choices, ends, (m.V, m.F), row, curves=int(m.E == 0), tally=tally, rows=rows)
 
 
-def _record(tally: dict | None, rows: list, row: tuple) -> None:
-    """Count `row` into `tally`, or append it to `rows` when `tally` is
-    None: what both depth-first walks do at a leaf, inline there, and with
-    the one row of the 0-crossing diagram and of the edgeless map."""
+# -- the shared 2^n walk --------------------------------------------------------
+
+
+def _cut_depth(n: int) -> int:
+    """The cut depth k of walk_choices: none under 6 items, where the cut
+    costs more than it saves, and n // 2 - 1 from there.  Measured best:
+    n // 2 - 1 to n // 2 on torus diagrams and their Tait graphs, about
+    n / 3 on genus 1-3 maps."""
+    return n // 2 - 1 if n >= 6 else 0
+
+
+def walk_choices(
+    choices: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+    ends: list[int],
+    sizes: Sequence[int],
+    row: Callable[..., tuple],
+    *,
+    curves: int = 0,
+    tally: dict | None = None,
+    rows: list | None = None,
+) -> None:
+    """row(count, curves, *classes) of every mask of `choices`, counted into
+    `tally` or, when `tally` is None, appended to `rows` in mask order (bit
+    e set = item e's second choice): the walk of walk_states and
+    walk_subgraphs.
+
+    Item e owns ends 4e..4e+3 of `ends`, which pairs each open curve end
+    with the other end of its strand.  A choice (x1, y1, x2, y2, f, i, j)
+    joins ends x1-y1 and x2-y2 (see smooth) and i and j in union-find f, of
+    size sizes[f].  At a leaf, count is the number of second choices, curves
+    those closed (plus `curves`) and classes each union-find's class count,
+    packed into one int key, a digit each, so that keys add along the walk.
+
+    The top walk decides items n-1..k, k = _cut_depth(n), undoing each step
+    on its way back.  The bottom items then read only their ends 0..4k-1,
+    whose partners are again among them, and the partition of the elements
+    they join: the top leaf's signature.  The first leaf of a signature
+    walks the bottom from key 0, and each leaf adds those changes to its own
+    key.  Cost: 2^(n-k) + G * 2^k leaves for G signatures, not 2^n; k = 0
+    is one flat walk.
+    """
+    n = len(choices)
+    k = _cut_depth(n)
+    bits = max(2 * n + curves, *sizes).bit_length()
+    # the place in a key of each of row's arguments: count, curves (the
+    # lowest digit, so that smooth's result adds in), each union-find's classes
+    places = [bits, 0, *range(2 * bits, (2 + len(sizes)) * bits, bits)]
+    forests = [UndoableUnionFind(size) for size in sizes]
+    units = [1 << place for place in places[2:]]
+    weights = (0, 1 << bits)
+    steps = [
+        [(x1, y1, x2, y2, forests[f], i, j, w, units[f]) for w, (x1, y1, x2, y2, f, i, j) in zip(weights, pair)]
+        for pair in choices
+    ]
+    start = curves
+    for size, unit in zip(sizes, units):
+        start += size * unit
+    keys: list[int] = []  # the leaves' keys in mask order, when not cut
+    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    if k:
+        joined: list[list[int]] = [[] for _ in sizes]  # by the bottom items
+        for pair in choices[:k]:
+            for *_, f, i, j in pair:
+                joined[f] += (i, j)
+        low = [(forest, sorted(set(elements))) for forest, elements in zip(forests, joined) if elements]
+        order = None if tally is not None else []
+        _walk_from((steps, ends, k, partial(_top_leaf, (steps, ends, k, low, groups, order))), n - 1, start)
+        if order is not None:
+            keys = [top + delta for top, deltas in order for delta in deltas]
+    else:
+        _walk_from((steps, ends, 0, keys.append), n - 1, start)
+    digit = (1 << bits) - 1
     if tally is None:
-        rows.append(row)
+        table = {key: row(*[key >> place & digit for place in places]) for key in set(keys)}
+        rows.extend(map(table.__getitem__, keys))
+        return
+    counts = _counted(keys)
+    for deltas, tops in groups.values():
+        bottom = _counted(deltas)
+        for top, n_top in _counted(tops).items():
+            for delta, n_low in bottom.items():
+                key = top + delta
+                counts[key] = counts.get(key, 0) + n_top * n_low
+    # no two keys share a row, so each count carries over whole
+    for key, n_key in counts.items():
+        tally[row(*[key >> place & digit for place in places])] = n_key
+
+
+def _counted(keys: list[int]) -> dict[int, int]:
+    """How many times each key occurs in `keys`."""
+    counts: dict[int, int] = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _walk_from(walk: tuple, e: int, key: int) -> None:
+    """Walk the items e down to walk's last one from `key`, or when there
+    are none, hand `key` to the leaf."""
+    if e < walk[2]:
+        walk[3](key)
     else:
-        tally[row] = tally.get(row, 0) + 1
+        _walk(walk, e, key)
 
 
-def _subgraph_walk(walk: tuple, e: int, n_in: int, curves: int) -> None:
-    """The counts of walk_subgraphs below one choice of the edges above e,
-    of which n_in are in H and which close `curves` medial curves.
-    Module-level rather than nested in walk_subgraphs: a nested function
-    that calls itself is a reference cycle, which keeps each walk alive
-    until the cyclic collector runs."""
-    steps, ends, vertices, faces, counts, keys = walk
-    for inside, (x1, y1, x2, y2, forest, i, j) in enumerate(steps[e]):
-        bc = curves + smooth(ends, x1, y1, x2, y2)
+def _walk(walk: tuple, e: int, key: int) -> None:
+    """The leaves of walk_choices below one choice of the items above e,
+    whose key so far is `key`.  Module-level rather than nested in
+    walk_choices: a nested function that calls itself is a reference cycle,
+    which keeps each walk alive until the cyclic collector runs."""
+    steps, ends, last, leaf = walk
+    for x1, y1, x2, y2, forest, i, j, weight, unit in steps[e]:
+        here = key + weight + smooth(ends, x1, y1, x2, y2)
         merged = forest.union(i, j)
-        if e:
-            _subgraph_walk(walk, e - 1, n_in + inside, bc)
+        if merged >= 0:
+            here -= unit
+        if e > last:
+            _walk(walk, e - 1, here)
         else:
-            key = (n_in + inside, bc, vertices.classes, faces.classes)
-            if counts is None:
-                keys.append(key)
-            else:
-                counts[key] = counts.get(key, 0) + 1
+            leaf(here)
         forest.undo(merged)
         unsmooth(ends, x1, y1, x2, y2)
+
+
+def _top_leaf(cut: tuple, key: int) -> None:
+    """File a top leaf's key under its signature: the pairing of the ends
+    0..4k-1 and, per union-find, the classes of the elements the bottom
+    joins, numbered in order of first sight.  A new signature walks the
+    bottom once, listing the change each bottom mask makes to a key; a
+    tallying walk lists the signature's top keys, a listing walk every top
+    key with its bottom in mask order."""
+    steps, ends, k, low, groups, order = cut
+    signature = ends[: 4 * k]
+    for forest, elements in low:
+        parent = forest.parent
+        labels: dict[int, int] = {}
+        for u in elements:
+            while parent[u] != u:
+                u = parent[u]
+            signature.append(labels.setdefault(u, len(labels)))
+    signature = tuple(signature)
+    group = groups.get(signature)
+    if group is None:
+        group = groups[signature] = ([], [])
+        _walk_from((steps, ends, 0, group[0].append), k - 1, 0)
+    if order is None:
+        group[1].append(key)
+    else:
+        order.append((key, group[0]))
 
 
 # -- homology ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from slinv import (
     checkerboard,
     parse_diagram,
     parse_map,
+    reduced_flags,
     tait_graphs,
 )
 
@@ -96,6 +97,21 @@ def sample_torus_diagrams(seed: int, count: int, c_lo: int = 3, c_hi: int = 8):
     return out
 
 
+def sample_nugatory_free_diagrams(seed: int, count: int, c: int):
+    """Random nugatory-free colorable alternating diagrams on the torus with
+    c crossings, by rejection: sample_torus_diagrams draws none at c >= 10."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            d = parse_diagram(random_alternating_diagram_text(rng, c))
+        except SlinvError:
+            continue
+        if d.genus == 1 and is_colorable(d) and reduced_flags(d).nugatory_free:
+            out.append(d)
+    return out
+
+
 def random_ribbon_map(rng: random.Random, v_max: int = 4, e_max: int = 8):
     """One random connected combinatorial map, or None when the draw fails."""
     V = rng.randint(1, v_max)
@@ -114,11 +130,11 @@ def random_ribbon_map(rng: random.Random, v_max: int = 4, e_max: int = 8):
         return None
 
 
-def sample_ribbon_maps(seed: int, count: int, genera=(1, 2)):
+def sample_ribbon_maps(seed: int, count: int, genera=(1, 2), e_max: int = 8):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        m = random_ribbon_map(rng)
+        m = random_ribbon_map(rng, e_max=e_max)
         if m is not None and m.genus in genera:
             out.append(m)
     return out
@@ -165,3 +181,11 @@ def random_maps():
 @pytest.fixture(scope="session")
 def random_diagrams():
     return sample_torus_diagrams(seed=20240817, count=25, c_lo=3, c_hi=6)
+
+
+@pytest.fixture(scope="session")
+def nugatory_free_diagrams():
+    """Three nugatory-free torus diagrams at c = 10 and three at c = 12, so
+    that reports at those sizes reach the twist number (2,768 and 3,774
+    draws)."""
+    return [d for c in (10, 12) for d in sample_nugatory_free_diagrams(seed=99, count=3, c=c)]

@@ -6,6 +6,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -491,6 +492,27 @@ def test_the_sums_build_no_fractions():
         assert built == [(1, 2)]  # the counter does see a new Fraction
     finally:
         Fraction.__new__ = original
+
+
+def test_reports_on_nugatory_free_diagrams_at_10_and_12_crossings(nugatory_free_diagrams):
+    """The paper's theorems on reduced diagrams at the sizes where the cut
+    walks run: the coefficient and span checks pass on all six, the twist
+    formula passes wherever its hypotheses hold, and each report is
+    byte-identical to the one computed by flat walks."""
+    import slinv.ribbon
+
+    assert [d.crossings for d in nugatory_free_diagrams] == [10, 10, 10, 12, 12, 12]
+    twist = []
+    for d in nugatory_free_diagrams:
+        assert reduced_flags(d).nugatory_free
+        report = full_report(d)
+        status = {v.name: v.status for v in report.verdicts}
+        assert status["jk_coefficients"] == status["span"] == "pass"
+        twist.append(status["twist_formula"])
+        with mock.patch.object(slinv.ribbon, "_cut_depth", lambda n: 0):
+            flat = full_report(d)
+        assert json.dumps(report.to_json()) == json.dumps(flat.to_json())
+    assert Counter(twist) == {"pass": 4, "skipped": 2}
 
 
 def test_the_sums_leave_no_cyclic_garbage(tmp_path, capsys):

@@ -4,11 +4,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slinv.ribbon
 from slinv import (
     CombinatorialMap,
     ContextMismatch,
@@ -154,14 +156,17 @@ def rotation_systems(draw):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(rotation_systems())
-def test_subgraph_numbers_property(system):
+@given(rotation_systems(), st.integers(0, 6))
+def test_subgraph_numbers_property(system, cut):
+    """assert_numbers_match_profiles on a drawn map, with the subgraph walk
+    cut at a drawn depth."""
     rotations, pairing = system
     try:
         m = CombinatorialMap(rotations, pairing)
     except Disconnected:
         return
-    assert_numbers_match_profiles("drawn map", m)
+    with mock.patch.object(slinv.ribbon, "_cut_depth", lambda n: min(cut, n)):
+        assert_numbers_match_profiles("drawn map", m)
 
 
 def test_profiles_of_the_one_vertex_torus_map(maps):
