@@ -11,12 +11,10 @@ from .diagram import (
     DEFAULT_CAP,
     Coloring,
     ReducedFlags,
-    State,
     SurfaceLinkDiagram,
     TaitPair,
     checkerboard,
     crossing_sign,
-    enumerate_states,
     is_alternating,
     parse_diagram,
     reduced_flags,
@@ -53,6 +51,19 @@ from .errors import (
     SlinvError,
     ZeroPolynomial,
 )
+from .homology import (
+    HomologyContext,
+    SpanningSubgraph,
+    State,
+    SubgraphProfile,
+    boundary_walks,
+    chain_of_walk,
+    cycle_of_pair,
+    edge_class,
+    enumerate_states,
+    parallel,
+    subgraph_profile,
+)
 from .invariants import (
     V_OCT,
     V_TET,
@@ -88,21 +99,12 @@ from .invariants import (
 from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
-    HomologyContext,
-    SpanningSubgraph,
-    SubgraphProfile,
-    boundary_walks,
-    chain_of_walk,
-    cycle_of_pair,
     delete_edge,
     dual,
-    edge_class,
     edge_kernels,
     is_isomorphic,
-    parallel,
     parse_map,
     subgraph_numbers,
-    subgraph_profile,
     subgraph_rows,
     subgraph_tally,
 )

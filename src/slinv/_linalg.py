@@ -1,9 +1,10 @@
-"""Exact rational row-echelon arithmetic for small dense systems.
+"""Exact rational row-echelon arithmetic for small dense systems: the
+linear algebra of the homology oracle, which alone imports it.
 
 Everything here works over Fraction.  Rows are dicts {column: value} with
 zero entries absent; an Echelon object keeps reduced rows indexed by pivot
 column so that membership tests and incremental rank updates stay cheap
-inside 2^E subgraph sweeps.
+across the many chains reduced against one face space.
 """
 
 from __future__ import annotations
@@ -11,16 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Vec = dict[int, Fraction]
-
-
-def add_entry(d: dict, key, value) -> None:
-    """d[key] += value in place, dropping the key when the sum is zero: the
-    one accumulation of sparse chains and polynomial terms."""
-    new = d.get(key, 0) + value
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
 
 
 def vec_sub_scaled(v: Vec, w: Vec, factor: Fraction) -> Vec:

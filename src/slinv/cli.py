@@ -18,7 +18,6 @@ from pathlib import Path
 from .diagram import (
     DEFAULT_CAP,
     SurfaceLinkDiagram,
-    enumerate_states,
     parse_diagram,
     state_numbers,
     writhe,
@@ -226,6 +225,8 @@ def cmd_states(args) -> int:
     # one enumeration feeds both the table and the state sum: the integer
     # rows, or under --dump the States, whose curve classes need homology
     if args.dump:
+        from .homology import enumerate_states
+
         states = list(enumerate_states(d, cap))
         numbers = [(s.b, s.size, s.r) for s in states]
     else:

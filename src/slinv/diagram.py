@@ -16,10 +16,8 @@ weave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import (
     BadSlot,
@@ -29,17 +27,21 @@ from .errors import (
     NotCheckerboardColorable,
     NotFourValent,
 )
-from .ribbon import (
-    CombinatorialMap,
-    HomologyContext,
-    chain_of_walk,
-    trivial_loops,
-    walk_choices,
-)
+from .ribbon import CombinatorialMap, trivial_loops, walk_choices
 
 End = tuple[int, int]  # (crossing, slot)
 
 DEFAULT_CAP = 24
+
+
+# perfbench/ reads these two oracle names from this module; they live in
+# homology, which loads on first use
+def __getattr__(name: str):
+    if name in ("diagram_homology", "enumerate_states"):
+        from . import homology
+
+        return getattr(homology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,6 @@ class TaitPair:
     g_b: CombinatorialMap
     coloring: Coloring
     shaded_leading: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class State:
-    """One smoothing state; curves are canonical H1-class representatives."""
-
-    choice: tuple[str, ...]
-    curves: tuple[tuple[tuple[int, Fraction], ...], ...]
-    a: int
-    b: int
-    r: int
-
-    @property
-    def size(self) -> int:
-        return len(self.curves)
-
-    @property
-    def k(self) -> int:
-        return self.size - self.r
 
 
 @dataclass(frozen=True)
@@ -417,61 +400,10 @@ def tait_flags(*graphs: tuple[CombinatorialMap, Sequence[int]]) -> ReducedFlags:
 # -- states ---------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def diagram_homology(cmap: CombinatorialMap) -> HomologyContext:
-    return HomologyContext(cmap)
-
-
-def _state_curves(m: CombinatorialMap, c: int, mask: int) -> list[list[int]]:
-    """The curves of the state `mask` (bit i set = B at crossing i), each as
-    the half-edges through which it leaves the crossings it passes."""
-    tau = [0] * (4 * c)
-    for cr in range(c):
-        base = 4 * cr
-        for x, y in ((0, 1), (2, 3)) if mask >> cr & 1 else ((1, 2), (3, 0)):
-            tau[base + x] = base + y
-            tau[base + y] = base + x
-    visited = [False] * (4 * c)
-    curves = []
-    for start in range(4 * c):
-        if visited[start]:
-            continue
-        # the curve leaves each crossing through y = tau[h], along its arc
-        walk = []
-        h = start
-        while not visited[h]:
-            visited[h] = True
-            y = tau[h]
-            visited[y] = True
-            walk.append(y)
-            h = m.alpha[y]
-        curves.append(walk)
-    return curves
-
-
-def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[State]:
-    """All 2^c smoothing states, in bitmask order (bit i set = B at crossing i),
-    with the curve rank r and the curves' classes from rational homology."""
-    c = d.crossings
-    if c > cap:
-        raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
-    if c == 0:
-        yield State(choice=(), curves=((),), a=0, b=0, r=0)
-        return
-    m = d.cmap
-    ctx = diagram_homology(m)
-    for mask in range(1 << c):
-        chains = [chain_of_walk(m, walk) for walk in _state_curves(m, c, mask)]
-        r = ctx.rank_mod_B(chains)
-        curves = tuple(tuple(sorted(ctx.class_of(ch).items())) for ch in chains)
-        choice = tuple("B" if mask >> cr & 1 else "A" for cr in range(c))
-        b = mask.bit_count()
-        yield State(choice=choice, curves=curves, a=c - b, b=b, r=r)
-
-
 def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> list[tuple[int, int, int]]:
-    """(b, |s|, r) of every smoothing state, in the order of enumerate_states:
-    walk_states with a list sink."""
+    """(b, |s|, r) of every smoothing state, in bitmask order (bit i set = B
+    at crossing i), the order of homology.enumerate_states: walk_states with
+    a list sink."""
     rows: list[tuple[int, int, int]] = []
     walk_states(d, cap, rows=rows)
     return rows

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ._linalg import add_entry
 from .diagram import (
     DEFAULT_CAP,
     Coloring,
@@ -47,7 +46,7 @@ from .errors import (
     NotTrivialLoop,
     PreconditionError,
 )
-from .poly import JKPoly, LaurentPoly, curve_binomial_terms
+from .poly import JKPoly, LaurentPoly, add_entry, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
     _component_count,

@@ -30,7 +30,6 @@ from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from ._linalg import add_entry
 from .errors import NonMonomialDenominator, ZeroPolynomial
 
 _TERM_SPLIT = re.compile(r"\s([+-])\s")
@@ -44,6 +43,16 @@ def _exp_str(stored: int, scale: int) -> str:
 
 
 Terms = dict[tuple[int, ...], int]
+
+
+def add_entry(d: dict, key, value) -> None:
+    """d[key] += value in place, dropping the key when the sum is zero: the
+    one accumulation of polynomial terms and sparse chains."""
+    new = d.get(key, 0) + value
+    if new:
+        d[key] = new
+    else:
+        d.pop(key, None)
 
 
 def _product(a: Terms, b: Terms) -> Terms:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from slinv import HomologyContext, NegativeGenus, parse_diagram, parse_map
 from slinv.cli import main
-from slinv.diagram import diagram_homology
+from slinv.homology import diagram_homology
 
 from conftest import RG_NAMES, SLD_NAMES, corpus_text
 

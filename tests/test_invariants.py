@@ -404,6 +404,7 @@ def _count_calls(monkeypatch, name: str, original) -> list[tuple]:
 
 def test_each_report_computes_each_sum_once(monkeypatch, diagrams, tmp_path):
     import slinv.diagram
+    import slinv.homology
     import slinv.invariants
 
     nugatory = next(
@@ -430,7 +431,7 @@ def test_each_report_computes_each_sum_once(monkeypatch, diagrams, tmp_path):
         with monkeypatch.context() as patch:
             sums = _count_calls(patch, "krushkal", slinv.invariants.krushkal)
             rows = _count_calls(patch, "walk_states", slinv.diagram.walk_states)
-            states = _count_calls(patch, "enumerate_states", slinv.diagram.enumerate_states)
+            states = _count_calls(patch, "enumerate_states", slinv.homology.enumerate_states)
             taits = _count_calls(patch, "tait_graphs", slinv.diagram.tait_graphs)
             run()
         summed = [args[0] for args in sums]
