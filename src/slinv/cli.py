@@ -94,10 +94,9 @@ def _verdict_lines(verdicts) -> list[str]:
 
 
 def _map_verdicts(a: MapAnalysis) -> list[Verdict]:
-    m = a.map
-    rows = list(verify_krushkal_coeffs(m, analysis=a))
-    rows.append(verify_polynomial_duality(m, analysis=a))
-    rows.append(verify_subgraph_count(m, analysis=a))
+    rows = verify_krushkal_coeffs(a)
+    rows.append(verify_polynomial_duality(a, a.dual))
+    rows.append(verify_subgraph_count(a))
     rows.append(_tutte_verdict(a))
     rows.append(_loop_deletion_verdict([("G", a)]))
     return rows

@@ -27,7 +27,7 @@ from .errors import (
     NotCheckerboardColorable,
     NotFourValent,
 )
-from .ribbon import CombinatorialMap, trivial_loops, walk_choices
+from .ribbon import CombinatorialMap, edge_kernels, trivial_loops, walk_choices
 
 End = tuple[int, int]  # (crossing, slot)
 
@@ -174,6 +174,8 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
             cr = _int_field(parts, line)
             if not (0 <= cr < n_crossings):
                 raise BadSlot(f"crossing {cr} out of range in over line")
+            if cr in over_rows:
+                raise InputError(f"duplicate over line for crossing {cr}")
             over_rows[cr] = parts[2]
         else:
             raise InputError(f"unknown directive {parts[0]!r}")
@@ -386,7 +388,7 @@ def reduced_flags(d: SurfaceLinkDiagram) -> ReducedFlags:
     if d.crossings == 0:
         return ReducedFlags(True, True, True)
     pair = tait_graphs(d, checkerboard(d))
-    return tait_flags(*((m, trivial_loops(m)) for m in (pair.g_a, pair.g_b)))
+    return tait_flags(*((m, trivial_loops(m, edge_kernels(m))) for m in (pair.g_a, pair.g_b)))
 
 
 def tait_flags(*graphs: tuple[CombinatorialMap, Sequence[int]]) -> ReducedFlags:

@@ -170,27 +170,23 @@ def _whitney_rank(edges: list[tuple[int, int]]) -> LaurentPoly:
     return _whitney_rank(rest) + _whitney_rank(contracted)
 
 
-def tutte_check(
-    m: CombinatorialMap, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
-) -> bool:
+def tutte_check(a: MapAnalysis) -> bool:
     """Whether y^g * p_G(x, y, y, 1/y) equals the Whitney rank polynomial of
     the underlying abstract graph, the latter computed by deletion-contraction."""
-    p = (analysis or MapAnalysis(m, cap)).p
+    m = a.map
     ring = ("x", "y")
     x = LaurentPoly.var(ring, "x")
     y = LaurentPoly.var(ring, "y")
     y_inv = LaurentPoly(ring, {(0, -1): 1})
-    specialized = LaurentPoly.term(ring, 1, (0, m.genus)) * p.substitute(
+    specialized = LaurentPoly.term(ring, 1, (0, m.genus)) * a.p.substitute(
         {"x": x, "y": y, "u": y, "v": y_inv}
     )
     return specialized == _whitney_rank([m.endpoints(e) for e in m.edge_ids])
 
 
-def loop_deletion_check(
-    m: CombinatorialMap, e: int, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
-) -> bool:
+def loop_deletion_check(a: MapAnalysis, e: int) -> bool:
     """Whether p_G = (1+y) * p_(G-e) for a homologically trivial loop e."""
-    a = analysis or MapAnalysis(m, cap)
+    m = a.map
     if not m.is_loop(e):
         raise NotTrivialLoop(f"edge {e} is not a loop")
     if e not in a.trivial_loops:
@@ -233,18 +229,16 @@ class ReducedGraphData:
         }
 
 
-def reduce(
-    m: CombinatorialMap, representative_rotation: int = 0, *, analysis: MapAnalysis | None = None
-) -> ReducedGraphData:
+def reduce(a: MapAnalysis, representative_rotation: int = 0) -> ReducedGraphData:
     """Reduced-graph statistics; the representative of each parallel class is
     chosen by index rotation so invariance under the choice is testable."""
-    pairs = analysis.parallel_pairs if analysis else parallel_pairs(m)
-    roots = union_roots(m.E, sorted(pairs))
+    m = a.map
+    roots = union_roots(m.E, sorted(a.parallel_pairs))
     classes: dict[int, list[int]] = {}
     for e, root in enumerate(roots):
         classes.setdefault(root, []).append(e)
 
-    trivial = set(analysis.trivial_loops if analysis else trivial_loops(m))
+    trivial = set(a.trivial_loops)
 
     kept: list[int] = []
     for cls in sorted(classes.values()):
@@ -278,18 +272,12 @@ def reduce(
     )
 
 
-def verify_krushkal_coeffs(
-    m: CombinatorialMap,
-    cap: int = DEFAULT_CAP,
-    data: ReducedGraphData | None = None,
-    *,
-    analysis: MapAnalysis | None = None,
-) -> list[Verdict]:
+def verify_krushkal_coeffs(a: MapAnalysis, data: ReducedGraphData | None = None) -> list[Verdict]:
     """Compare mu, lambda, gamma against the coefficients of P they predict:
     mu = [V^g X^(n-1) Y^k] P, lambda = [V^(g-1) X^n Y^k] P, and (absent
     3-petal loops) gamma = [U V^(g-1) X^n Y^k] P, where k counts the trivial
     loops and n = |V| - 1.  `data` replaces the analysis's own reduction."""
-    a = analysis or MapAnalysis(m, cap)
+    m = a.map
     data = data if data is not None else a.reduced
     g = m.genus
     P = a.P
@@ -473,8 +461,10 @@ def twist_regions(d: SurfaceLinkDiagram) -> int:
 class MapAnalysis:
     """The single-edge kernels, trivial loops, parallel edge pairs, p, P,
     reduction and dual of one map, each computed at most once, on first
-    use.  The dual is summed from this map's own dual(); a DiagramAnalysis
-    passes each Tait graph's verifiers the other Tait graph instead."""
+    use.  It is the subject of the map verifiers and of reduce, which read
+    the map and the cap from it.  The dual is summed from this map's own
+    dual(); a DiagramAnalysis gives each Tait graph's polynomial_duality the
+    other Tait graph instead."""
 
     def __init__(self, m: CombinatorialMap, cap: int = DEFAULT_CAP) -> None:
         self.map = m
@@ -502,7 +492,7 @@ class MapAnalysis:
 
     @cached_property
     def reduced(self) -> ReducedGraphData:
-        return reduce(self.map, analysis=self)
+        return reduce(self)
 
     @cached_property
     def dual(self) -> MapAnalysis:
@@ -630,16 +620,14 @@ class DiagramAnalysis:
 
 # -- verifiers ---------------------------------------------------------------------
 #
-# The verifiers take optional shared work, an `analysis` of their input,
-# through which full_report computes each intermediate result once.  A given
-# analysis brings its cap.
+# Each verifier takes the analysis it checks as its one subject and reads the
+# diagram or map and the cap from it, so both sides of an identity see the
+# same input, and full_report, sharing one analysis, computes each
+# intermediate result once.
 
 
-def verify_route_equality(
-    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
-) -> Verdict:
+def verify_route_equality(a: DiagramAnalysis) -> Verdict:
     """State-sum J_K against the Tait-graph specialization route."""
-    a = analysis or DiagramAnalysis(d, cap)
     by_sum = a.jk
     by_p = a.jk_via_P
     if by_sum == by_p:
@@ -649,15 +637,13 @@ def verify_route_equality(
     )
 
 
-def verify_jk_coefficients(
-    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
-) -> Verdict:
+def verify_jk_coefficients(a: DiagramAnalysis) -> Verdict:
     """Closed form for the outer coefficients of J_K in terms of the
     reduced-graph data of both Tait graphs, compared at every monomial in
     the expression's support (colliding monomials are collected first)."""
+    d = a.d
     if d.crossings == 0:
         raise HypothesisViolated("coefficient expression needs at least one crossing")
-    a = analysis or DiagramAnalysis(d, cap)
     a.require_reduced_alternating()
     g_a, g_b = a.tait
     ra, rb = g_a.reduced, g_b.reduced
@@ -684,14 +670,12 @@ def verify_jk_coefficients(
     return _verdict("jk_coefficients", False, f"mismatched slots {bad}")
 
 
-def verify_span(
-    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
-) -> Verdict:
+def verify_span(a: DiagramAnalysis) -> Verdict:
     """t-span of J_K(t, 1) equals c - g, with extremal coefficients +-1
     arising from the V^g X^n and U^g Y^N terms of P."""
+    d = a.d
     if d.crossings == 0:
         return _verdict("span", True, "0-crossing diagram, span 0")
-    a = analysis or DiagramAnalysis(d, cap)
     a.require_reduced_alternating()
     g_a, g_b = a.tait
     jk = a.jk
@@ -714,16 +698,13 @@ def verify_span(
     return _verdict("span", False, f"failed: {', '.join(bad)}")
 
 
-def verify_twist_formula(
-    d: SurfaceLinkDiagram, *, analysis: DiagramAnalysis | None = None
-) -> Verdict:
+def verify_twist_formula(a: DiagramAnalysis) -> Verdict:
     """Union-find twist number against lambda + mu + lambda-bar + mu-bar - 2g.
 
     Hypothesis: no two crossings are parallel in both Tait graphs.  Such a
     pair closes a cycle in the graph that joins each crossing's parallel
     class in G_A to its class in G_B, and the formula falls short of the
     union-find count by the cycle rank of that graph."""
-    a = analysis or DiagramAnalysis(d)
     by_classes = a.tau_by_classes
     for i, j, in_a, in_b in a.parallel_crossings:
         if in_a and in_b:
@@ -733,58 +714,43 @@ def verify_twist_formula(
     return _verdict("twist_formula", by_classes == by_formula, detail)
 
 
-def verify_tait_duality(
-    d: SurfaceLinkDiagram, *, analysis: DiagramAnalysis | None = None
-) -> Verdict:
+def verify_tait_duality(a: DiagramAnalysis) -> Verdict:
     """The unshaded Tait graph is the dual map of the shaded one: dual(G_B)
     equals G_A exactly, with dual() applied to G_B's own map."""
-    g_a, g_b = (analysis or DiagramAnalysis(d)).tait
+    g_a, g_b = a.tait
     ok = dual(g_b.map) == g_a.map
     return _verdict("tait_duality", ok, "G_B compared with dual(G_A)")
 
 
-def verify_polynomial_duality(
-    m: CombinatorialMap,
-    cap: int = DEFAULT_CAP,
-    *,
-    analysis: MapAnalysis | None = None,
-    dual: MapAnalysis | None = None,
-) -> Verdict:
+def verify_polynomial_duality(a: MapAnalysis, dual: MapAnalysis) -> Verdict:
     """p_G(x,y,u,v) = p_G*(y,x,v,u), with p_G* summed over `dual`, an
-    analysis of a map equal or isomorphic to the dual (the other Tait graph,
-    in a full report), or else over the analysis's own dual map."""
-    analysis = analysis or MapAnalysis(m, cap)
-    p = analysis.p
-    q = (dual or analysis.dual).p
+    analysis of a map equal or isomorphic to the dual: the other Tait graph
+    in a full report, a.dual for a lone map."""
+    p = a.p
+    q = dual.p
     swapped = LaurentPoly(
-        P_VARS, {(b, a, vv, u): coeff for (a, b, u, vv), coeff in q.terms.items()}
+        P_VARS, {(y, x, v, u): coeff for (x, y, u, v), coeff in q.terms.items()}
     )
     ok = p == swapped
     detail = "" if ok else f"{p.to_text()} != swapped dual {swapped.to_text()}"
     return _verdict("polynomial_duality", ok, detail)
 
 
-def verify_subgraph_count(
-    m: CombinatorialMap, cap: int = DEFAULT_CAP, *, analysis: MapAnalysis | None = None
-) -> Verdict:
+def verify_subgraph_count(a: MapAnalysis) -> Verdict:
     """P(2,2,1,1) counts all spanning subgraphs: 2^E."""
-    P = (analysis or MapAnalysis(m, cap)).P
-    value = P.evaluate({"X": 2, "Y": 2, "U": 1, "V": 1})
-    return _verdict(
-        "subgraph_count", value == 2**m.E, f"P(2,2,1,1) = {value}, 2^E = {2 ** m.E}"
-    )
+    value = a.P.evaluate({"X": 2, "Y": 2, "U": 1, "V": 1})
+    E = a.map.E
+    return _verdict("subgraph_count", value == 2**E, f"P(2,2,1,1) = {value}, 2^E = {2**E}")
 
 
-def verify_state_kernel(
-    d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP, *, analysis: DiagramAnalysis | None = None
-) -> Verdict:
+def verify_state_kernel(a: DiagramAnalysis) -> Verdict:
     """Every state of a colorable diagram has kernel dimension k(s) >= 1."""
-    _, bad = (analysis or DiagramAnalysis(d, cap)).state_sum
+    _, bad = a.state_sum
     return _verdict("state_kernel", bad == 0, f"{bad} states with k < 1")
 
 
 def _tutte_verdict(a: MapAnalysis) -> Verdict:
-    ok = tutte_check(a.map, analysis=a)
+    ok = tutte_check(a)
     return _verdict("tutte_specialization", ok, "rank polynomial by deletion-contraction")
 
 
@@ -793,7 +759,7 @@ def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
     for side, a in graphs:
         loops = a.trivial_loops
         if loops:
-            ok = loop_deletion_check(a.map, loops[0], analysis=a)
+            ok = loop_deletion_check(a, loops[0])
             return _verdict("loop_deletion", ok, f"trivial loop {loops[0]} of {side}")
     return _skipped("loop_deletion", "no homologically trivial loops")
 
@@ -880,11 +846,11 @@ class InvariantReport:
         }
 
 
-def _attempt(fn, *args, **kwargs):
-    """(fn(...), None), or (None, the reason) when a hypothesis fails; cap
+def _attempt(fn, *args):
+    """(fn(*args), None), or (None, the reason) when a hypothesis fails; cap
     violations propagate."""
     try:
-        return fn(*args, **kwargs), None
+        return fn(*args), None
     except (CrossingCapExceeded, EdgeCapExceeded):
         raise
     except PreconditionError as exc:
@@ -935,16 +901,16 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
         ("tait_duality", verify_tait_duality),
         ("state_kernel", verify_state_kernel),
     ):
-        result, why = _attempt(fn, d, analysis=a)
+        result, why = _attempt(fn, a)
         verdicts.append(result if result is not None else _skipped(name, why))
 
     if has_tait:
         for side, graph, other in (("G_A", g_a, g_b), ("G_B", g_b, g_a)):
-            result = verify_polynomial_duality(graph.map, analysis=graph, dual=other)
+            result = verify_polynomial_duality(graph, other)
             verdicts.append(Verdict(f"polynomial_duality[{side}]", result.status, result.detail))
-            rows = verify_krushkal_coeffs(graph.map, analysis=graph)
+            rows = verify_krushkal_coeffs(graph)
             verdicts.extend(Verdict(f"{row.name}[{side}]", row.status, row.detail) for row in rows)
-        verdicts.append(verify_subgraph_count(g_a.map, analysis=g_a))
+        verdicts.append(verify_subgraph_count(g_a))
         verdicts.append(_tutte_verdict(g_a))
         verdicts.append(_loop_deletion_verdict([("G_A", g_a), ("G_B", g_b)]))
     else:

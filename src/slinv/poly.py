@@ -215,7 +215,11 @@ class LaurentPoly:
         return self.terms.get(tuple(exps), 0)
 
     def coefficient_of(self, **powers: int | Fraction) -> int:
-        """Coefficient lookup by variable name, e.g. coefficient_of(X=1, V=1)."""
+        """Coefficient lookup by variable name, e.g. coefficient_of(X=1, V=1);
+        0 when an exponent is not representable at its variable's scale."""
+        for name in powers:
+            if name not in self.variables:
+                raise ValueError(f"unknown variable {name!r}")
         exps = []
         for name, scale in zip(self.variables, self.scales):
             stored = Fraction(powers.get(name, 0)) * scale

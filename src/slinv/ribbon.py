@@ -410,16 +410,15 @@ def component_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
 class UndoableUnionFind:
     """Union-find over 0..n-1 whose unions can be undone, last first: union
     by size and no path compression, so undoing a union resets one parent
-    (Westbrook-Tarjan, SIAM J. Comput. 1989).  `classes` counts the classes.
-    The depth-first sums use it; one-shot counts keep find_root, whose path
-    halving cannot be undone but costs half as much per count."""
+    (Westbrook-Tarjan, SIAM J. Comput. 1989).  The depth-first sums use it;
+    one-shot counts keep find_root, whose path halving cannot be undone but
+    costs half as much per count."""
 
-    __slots__ = ("parent", "size", "classes")
+    __slots__ = ("parent", "size")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
         self.size = [1] * n
-        self.classes = n
 
     def union(self, i: int, j: int) -> int:
         """Join the classes of i and j.  Returns the root hung below the
@@ -436,7 +435,6 @@ class UndoableUnionFind:
             i, j = j, i
         parent[i] = j
         size[j] += size[i]
-        self.classes -= 1
         return i
 
     def undo(self, child: int) -> None:
@@ -444,7 +442,6 @@ class UndoableUnionFind:
         if child >= 0:
             self.size[self.parent[child]] -= self.size[child]
             self.parent[child] = child
-            self.classes += 1
 
 
 def smooth(ends: list[int], x1: int, y1: int, x2: int, y2: int) -> int:
@@ -740,21 +737,17 @@ def edge_kernels(m: CombinatorialMap) -> list[int]:
     return [subgraph_numbers(m, (e,))[4] for e in m.edge_ids]
 
 
-def trivial_loops(m: CombinatorialMap, k: Sequence[int] | None = None) -> list[int]:
+def trivial_loops(m: CombinatorialMap, k: Sequence[int]) -> list[int]:
     """The homologically trivial loops of m: the edges e with k({e}) = 1,
-    given the edge_kernels `k` or computing them."""
-    k = edge_kernels(m) if k is None else k
+    given its edge_kernels `k`."""
     return [e for e in m.edge_ids if k[e] == 1]
 
 
-def parallel_pairs(
-    m: CombinatorialMap, k: Sequence[int] | None = None
-) -> frozenset[tuple[int, int]]:
+def parallel_pairs(m: CombinatorialMap, k: Sequence[int]) -> frozenset[tuple[int, int]]:
     """The pairs e < f of parallel edges: k({e}) = k({f}) and k({e, f}) >= 1,
-    given the edge_kernels `k` or computing them.  Dependent loop classes
-    agree up to sign: the nonzero class of a simple closed curve is
-    primitive (Farb-Margalit, Primer on MCGs, 2012, ch. 6)."""
-    k = edge_kernels(m) if k is None else k
+    given its edge_kernels `k`.  Dependent loop classes agree up to sign:
+    the nonzero class of a simple closed curve is primitive (Farb-Margalit,
+    Primer on MCGs, 2012, ch. 6)."""
     return frozenset(
         (e, f)
         for e, f in itertools.combinations(m.edge_ids, 2)

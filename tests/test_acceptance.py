@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from slinv import (
+    DiagramAnalysis,
     HomologyContext,
     JKPoly,
     LaurentPoly,
@@ -107,7 +108,7 @@ def test_state_sum_equals_specialization_on_corpus_and_random_diagrams(diagrams)
     checked = 0
     for name, d in diagrams.items():
         try:
-            verdict = verify_route_equality(d)
+            verdict = verify_route_equality(DiagramAnalysis(d))
         except PreconditionError:
             continue  # the one non-alternating diagram has no second route
         assert verdict.passed, f"{name}: {verdict.detail}"
@@ -134,19 +135,19 @@ def test_coefficient_slots_on_random_ribbon_maps():
         # integer route checks it
         a = MapAnalysis(m)
         ctx, data = HomologyContext(m), a.reduced
-        verdicts = {v.name: v for v in verify_krushkal_coeffs(m, analysis=a)}
+        verdicts = {v.name: v for v in verify_krushkal_coeffs(a)}
         assert verdicts["mu_coefficient"].passed
         assert verdicts["lambda_coefficient"].passed
         if data.has_3petal:
             assert verdicts["gamma_coefficient"].status == "skipped"
         else:
             assert verdicts["gamma_coefficient"].passed
-        assert verify_polynomial_duality(m, analysis=a).passed
-        assert verify_subgraph_count(m, analysis=a).passed
-        assert tutte_check(m, analysis=a)
+        assert verify_polynomial_duality(a, a.dual).passed
+        assert verify_subgraph_count(a).passed
+        assert tutte_check(a)
         for e in m.edge_ids:
             if m.is_loop(e) and ctx.in_B({e: Fraction(1)}):
-                assert loop_deletion_check(m, e, analysis=a)
+                assert loop_deletion_check(a, e)
                 loop_checks += 1
                 break
     elapsed = time.monotonic() - start

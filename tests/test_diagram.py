@@ -335,6 +335,9 @@ def test_parser_rejects_malformed_diagrams():
         parse_diagram(  # duplicate arc id
             "format sld 1\ncrossings 1\narc 0 0.0 0.3\narc 0 0.1 0.2\n"
         )
+    for overs in ("over 0 02\nover 0 13\n", "over 0 13\nover 0 02\n"):
+        with pytest.raises(InputError, match="duplicate over line for crossing 0"):
+            parse_diagram(corpus_text("trefoil.sld") + overs)
     with pytest.raises(InputError):
         parse_diagram(  # arc ids not dense
             "format sld 1\ncrossings 1\narc 0 0.0 0.3\narc 5 0.1 0.2\n"

@@ -22,6 +22,7 @@ from slinv import (
     InputError,
     JKPoly,
     LaurentPoly,
+    MapAnalysis,
     NotAlternating,
     NotTrivialLoop,
     big_P,
@@ -71,12 +72,12 @@ def test_torus_bouquet_polynomials(maps):
 
 def test_torus_bouquet_reduction_and_coefficient_slots(maps):
     m = maps["torus_bouquet.rg"]
-    data = reduce(m)
+    data = reduce(MapAnalysis(m))
     assert (data.lam, data.mu, data.gamma) == (2, 0, 1)
     assert data.trivial_loops_deleted == 0
     assert not data.has_3petal
     assert len(data.kept_edges) == 2
-    verdicts = {v.name: v for v in verify_krushkal_coeffs(m)}
+    verdicts = {v.name: v for v in verify_krushkal_coeffs(MapAnalysis(m))}
     assert set(verdicts) == {"mu_coefficient", "lambda_coefficient", "gamma_coefficient"}
     assert all(v.passed for v in verdicts.values())
     # the slots themselves, by hand: constant term 2 is lambda, [U] = 1 is gamma
@@ -88,21 +89,21 @@ def test_torus_bouquet_reduction_and_coefficient_slots(maps):
 def test_genus_two_bouquet_coefficient_slots(maps):
     m = maps["genus2_bouquet.rg"]
     assert (m.V, m.E, m.genus) == (1, 4, 2)
-    data = reduce(m)
+    data = reduce(MapAnalysis(m))
     assert (data.lam, data.mu, data.gamma) == (4, 0, 2)
     assert not data.has_3petal
-    assert all(v.passed for v in verify_krushkal_coeffs(m, data=data))
+    assert all(v.passed for v in verify_krushkal_coeffs(MapAnalysis(m), data=data))
 
 
 def test_theta_graph_polynomial_and_reduction(maps):
     m = maps["theta_sphere.rg"]
     assert krushkal(m) == LaurentPoly.parse("x + y^2 + 3*y + 3", P_VARS)
     assert big_P(m) == LaurentPoly.parse("X + Y^2 + Y", BIG_VARS)
-    data = reduce(m)
+    data = reduce(MapAnalysis(m))
     assert len(data.kept_edges) == 1  # three mutually parallel edges
     assert (data.lam, data.mu, data.gamma, data.trivial_loops_deleted) == (0, 0, 0, 0)
-    assert tutte_check(m)
-    verdicts = {v.name: v.status for v in verify_krushkal_coeffs(m, data=data)}
+    assert tutte_check(MapAnalysis(m))
+    verdicts = {v.name: v.status for v in verify_krushkal_coeffs(MapAnalysis(m), data=data)}
     assert verdicts["mu_coefficient"] == "pass"
     # the lambda and gamma slots sit at V^(g-1): absent on the sphere
     assert verdicts["lambda_coefficient"] == "skipped"
@@ -112,11 +113,11 @@ def test_theta_graph_polynomial_and_reduction(maps):
 def test_single_trivial_loop(maps):
     m = maps["trivial_loop.rg"]
     assert big_P(m) == LaurentPoly.var(BIG_VARS, "Y")
-    data = reduce(m)
+    data = reduce(MapAnalysis(m))
     assert data.kept_edges == ()
     assert data.trivial_loops_deleted == 1
     assert (data.lam, data.mu, data.gamma) == (0, 0, 0)
-    assert loop_deletion_check(m, 0)
+    assert loop_deletion_check(MapAnalysis(m), 0)
 
 
 def test_stacked_trivial_loops_factor_completely():
@@ -124,16 +125,16 @@ def test_stacked_trivial_loops_factor_completely():
     assert m.genus == 0
     one_plus_y = LaurentPoly.parse("y + 1", P_VARS)
     assert krushkal(m) == one_plus_y * one_plus_y
-    assert loop_deletion_check(m, 0)
-    assert loop_deletion_check(m, 1)
-    assert reduce(m).trivial_loops_deleted == 2
+    assert loop_deletion_check(MapAnalysis(m), 0)
+    assert loop_deletion_check(MapAnalysis(m), 1)
+    assert reduce(MapAnalysis(m)).trivial_loops_deleted == 2
 
 
 def test_loop_deletion_requires_a_trivial_loop(maps):
     with pytest.raises(NotTrivialLoop):
-        loop_deletion_check(maps["theta_sphere.rg"], 0)  # not a loop
+        loop_deletion_check(MapAnalysis(maps["theta_sphere.rg"]), 0)  # not a loop
     with pytest.raises(NotTrivialLoop):
-        loop_deletion_check(maps["torus_bouquet.rg"], 0)  # homologically essential
+        loop_deletion_check(MapAnalysis(maps["torus_bouquet.rg"]), 0)  # homologically essential
 
 
 def test_bundled_tait_graph_matches_the_weave(maps, diagrams):
@@ -145,7 +146,7 @@ def test_bundled_tait_graph_matches_the_weave(maps, diagrams):
 def test_reduction_is_independent_of_representative_choice(diagrams):
     d = diagrams["trefoil.sld"]
     pair = tait_graphs(d, checkerboard(d))
-    for graph in (pair.g_a, pair.g_b):
+    for graph in (MapAnalysis(pair.g_a), MapAnalysis(pair.g_b)):
         runs = [reduce(graph, representative_rotation=r) for r in range(3)]
         stats = {
             (r.lam, r.mu, r.gamma, r.trivial_loops_deleted, r.has_3petal) for r in runs
@@ -190,7 +191,7 @@ def test_twist_formula_skips_crossings_parallel_in_both_tait_graphs():
     d = parse_diagram(DOUBLY_PARALLEL)
     assert (tau(d), tau_formula(d), twist_regions(d)) == (3, 2, 3)
     with pytest.raises(HypothesisViolated, match="crossings 0 and 3"):
-        verify_twist_formula(d)
+        verify_twist_formula(DiagramAnalysis(d))
     report = full_report(d)
     (verdict,) = [v for v in report.verdicts if v.name == "twist_formula"]
     assert verdict.status == "skipped"
@@ -200,10 +201,10 @@ def test_twist_formula_skips_crossings_parallel_in_both_tait_graphs():
 
 def test_twist_formula_still_fails_on_a_wrong_formula_value(diagrams):
     d = diagrams["weave2x2.sld"]
-    assert verify_twist_formula(d).passed
+    assert verify_twist_formula(DiagramAnalysis(d)).passed
     a = DiagramAnalysis(d)
     a.tau_by_formula = 5  # overrides the cached property
-    verdict = verify_twist_formula(d, analysis=a)
+    verdict = verify_twist_formula(a)
     assert verdict.status == "fail"
     assert verdict.detail == "union-find 4, formula 5"
 
@@ -238,8 +239,8 @@ def test_swapping_the_coloring_swaps_the_tait_graphs(colorable_diagrams):
         mirror = tait_graphs(d, swapped)
         assert is_isomorphic(mirror.g_a, pair.g_b), name
         assert is_isomorphic(mirror.g_b, pair.g_a), name
-        ra, rb = reduce(pair.g_a), reduce(pair.g_b)
-        ma, mb = reduce(mirror.g_a), reduce(mirror.g_b)
+        ra, rb = reduce(MapAnalysis(pair.g_a)), reduce(MapAnalysis(pair.g_b))
+        ma, mb = reduce(MapAnalysis(mirror.g_a)), reduce(MapAnalysis(mirror.g_b))
         assert (ma.lam, ma.mu, ma.gamma) == (rb.lam, rb.mu, rb.gamma), name
         assert (mb.lam, mb.mu, mb.gamma) == (ra.lam, ra.mu, ra.gamma), name
 
@@ -346,14 +347,14 @@ def test_specialization_route_requires_alternating(diagrams):
 
 def test_jk_coefficient_verifier_on_corpus(colorable_diagrams):
     for name, d in colorable_diagrams.items():
-        verdict = verify_jk_coefficients(d)
+        verdict = verify_jk_coefficients(DiagramAnalysis(d))
         assert verdict.passed, f"{name}: {verdict.detail}"
 
 
 def test_jk_coefficient_verifier_needs_crossings():
     unknot = parse_diagram("format sld 1\ncrossings 0\n")
     with pytest.raises(HypothesisViolated):
-        verify_jk_coefficients(unknot)
+        verify_jk_coefficients(DiagramAnalysis(unknot))
 
 
 def test_full_report_has_no_failures(diagrams):

@@ -57,3 +57,52 @@ def test_the_fast_path_imports_no_oracle():
             if "fractions" in loaded and name in ("diagram.py", "ribbon.py"):
                 found.append(f"{name}:{node.lineno} imports fractions")
     assert found == []
+
+
+# each verifier's subject, the analysis it checks
+VERIFIER_SUBJECTS = {
+    "verify_route_equality": "DiagramAnalysis",
+    "verify_jk_coefficients": "DiagramAnalysis",
+    "verify_span": "DiagramAnalysis",
+    "verify_twist_formula": "DiagramAnalysis",
+    "verify_tait_duality": "DiagramAnalysis",
+    "verify_state_kernel": "DiagramAnalysis",
+    "verify_krushkal_coeffs": "MapAnalysis",
+    "verify_polynomial_duality": "MapAnalysis",
+    "verify_subgraph_count": "MapAnalysis",
+    "tutte_check": "MapAnalysis",
+    "loop_deletion_check": "MapAnalysis",
+    "reduce": "MapAnalysis",
+}
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_verifiers_take_their_analysis():
+    """Each verifier reads its diagram or map, and its cap, from the one
+    analysis it checks: it has no second way in that builds a private
+    analysis, and no cap or input that could disagree with the analysis."""
+    found = []
+    tree = ast.parse((PACKAGE / "invariants.py").read_text())
+    functions = _functions(tree)
+    for name, subject in VERIFIER_SUBJECTS.items():
+        args = functions[name].args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        first = ast.unparse(params[0].annotation) if params[0].annotation else None
+        if first != subject:
+            found.append(f"{name} takes {first} first, not {subject}")
+        found.extend(f"{name} has `{p.arg}`" for p in params if p.arg in ("analysis", "cap"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            last = node.values[-1]
+            if isinstance(last, ast.Call) and ast.unparse(last.func) in VERIFIER_SUBJECTS.values():
+                found.append(f"invariants.py:{node.lineno} falls back to a private analysis")
+    ribbon = _functions(ast.parse((PACKAGE / "ribbon.py").read_text()))
+    for name in ("trivial_loops", "parallel_pairs"):
+        args = ribbon[name].args
+        defaults = dict(zip([p.arg for p in args.args][::-1], args.defaults[::-1]))
+        if "k" in defaults:
+            found.append(f"ribbon.{name} defaults k to {ast.unparse(defaults['k'])}")
+    assert found == []
