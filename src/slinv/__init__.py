@@ -51,19 +51,6 @@ from .errors import (
     SlinvError,
     ZeroPolynomial,
 )
-from .homology import (
-    HomologyContext,
-    SpanningSubgraph,
-    State,
-    SubgraphProfile,
-    boundary_walks,
-    chain_of_walk,
-    cycle_of_pair,
-    edge_class,
-    enumerate_states,
-    parallel,
-    subgraph_profile,
-)
 from .invariants import (
     V_OCT,
     V_TET,
@@ -111,4 +98,29 @@ from .ribbon import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the rational homology oracle, which only the tests and `slinv states
+# --dump` use, loads on first use of one of its names (PEP 562)
+_ORACLE = (
+    "HomologyContext",
+    "SpanningSubgraph",
+    "State",
+    "SubgraphProfile",
+    "boundary_walks",
+    "chain_of_walk",
+    "cycle_of_pair",
+    "edge_class",
+    "enumerate_states",
+    "parallel",
+    "subgraph_profile",
+)
+
+
+def __getattr__(name: str):
+    if name == "homology" or name in _ORACLE:
+        import slinv.homology as homology
+
+        return homology if name == "homology" else getattr(homology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["homology", *_ORACLE])

@@ -407,7 +407,7 @@ def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> list[tuple[i
     at crossing i), the order of homology.enumerate_states: walk_states with
     a list sink."""
     rows: list[tuple[int, int, int]] = []
-    walk_states(d, cap, rows=rows)
+    walk_states(d, rows, cap)
     return rows
 
 
@@ -415,20 +415,14 @@ def state_tally(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> dict[tuple[int
     """How many states have each (b, |s|, r) row of state_numbers:
     walk_states with a tally sink."""
     tally: dict[tuple[int, int, int], int] = {}
-    walk_states(d, cap, tally=tally)
+    walk_states(d, tally, cap)
     return tally
 
 
-def walk_states(
-    d: SurfaceLinkDiagram,
-    cap: int = DEFAULT_CAP,
-    *,
-    tally: dict[tuple[int, int, int], int] | None = None,
-    rows: list[tuple[int, int, int]] | None = None,
-) -> None:
+def walk_states(d: SurfaceLinkDiagram, sink: dict | list, cap: int = DEFAULT_CAP) -> None:
     """The row (b, |s|, r) of every smoothing state, from integer counts
-    alone, counted into `tally` or, when `tally` is None, appended to `rows`
-    in bitmask order (bit i set = B at crossing i): ribbon.walk_choices with
+    alone, counted into a dict `sink` or appended to a list `sink` in
+    bitmask order (bit i set = B at crossing i): ribbon.walk_choices with
     the A-smoothing of crossing i as its first choice and the B-smoothing
     as its second.
 
@@ -449,7 +443,7 @@ def walk_states(
     if c > cap:
         raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
     if c == 0:
-        walk_choices((), [], (2,), _state_row, curves=1, tally=tally, rows=rows)
+        walk_choices((), [], (2,), _state_row, sink, curves=1)
         return
     m = d.cmap
     face_of = m.face_of
@@ -459,7 +453,7 @@ def walk_states(
         a = (x + 1, x + 2, x + 3, x, 0, face_of[x + 1], face_of[x + 3])
         b = (x, x + 1, x + 2, x + 3, 0, face_of[x + 2], face_of[x])
         choices.append((a, b))
-    walk_choices(choices, list(m.alpha), (m.F,), _state_row, tally=tally, rows=rows)
+    walk_choices(choices, list(m.alpha), (m.F,), _state_row, sink)
 
 
 def _state_row(b: int, size: int, regions: int) -> tuple[int, int, int]:

@@ -29,7 +29,7 @@ from .errors import (
     NotALoop,
 )
 from .poly import add_entry
-from .ribbon import CombinatorialMap, _component_count, find_root
+from .ribbon import CombinatorialMap, UndoableUnionFind, _component_count
 
 # -- spanning subgraphs -----------------------------------------------------
 
@@ -171,16 +171,14 @@ class HomologyContext:
         """Fundamental cycles of the subgraph on `edges` (a basis of Z1(H))."""
         m = self.map
         edges = set(edges)
-        parent = list(range(m.V))
+        joined = UndoableUnionFind(m.V)
         path: dict[int, Vec] = {}
         cycles: list[Vec] = []
         # grow a forest inside H; each rejected edge closes one cycle
         forest_adj: dict[int, list[tuple[int, int]]] = {}
         for e in sorted(edges):
             t, h = m.endpoints(e)
-            a, b = find_root(parent, t), find_root(parent, h)
-            if a != b:
-                parent[a] = b
+            if joined.union(t, h) >= 0:
                 forest_adj.setdefault(t, []).append((e, h))
                 forest_adj.setdefault(h, []).append((e, t))
         # chains from every vertex to its forest root

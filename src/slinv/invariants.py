@@ -49,6 +49,7 @@ from .errors import (
 from .poly import JKPoly, LaurentPoly, add_entry, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
+    UndoableUnionFind,
     _component_count,
     component_count,
     delete_edge,
@@ -58,7 +59,6 @@ from .ribbon import (
     subgraph_numbers,
     subgraph_tally,
     trivial_loops,
-    union_roots,
 )
 
 # volumes of the regular ideal tetrahedron and octahedron
@@ -233,10 +233,12 @@ def reduce(a: MapAnalysis, representative_rotation: int = 0) -> ReducedGraphData
     """Reduced-graph statistics; the representative of each parallel class is
     chosen by index rotation so invariance under the choice is testable."""
     m = a.map
-    roots = union_roots(m.E, sorted(a.parallel_pairs))
+    forest = UndoableUnionFind(m.E)
+    for e, f in a.parallel_pairs:
+        forest.union(e, f)
     classes: dict[int, list[int]] = {}
-    for e, root in enumerate(roots):
-        classes.setdefault(root, []).append(e)
+    for e in m.edge_ids:
+        classes.setdefault(forest.find(e), []).append(e)
 
     trivial = set(a.trivial_loops)
 
@@ -272,13 +274,13 @@ def reduce(a: MapAnalysis, representative_rotation: int = 0) -> ReducedGraphData
     )
 
 
-def verify_krushkal_coeffs(a: MapAnalysis, data: ReducedGraphData | None = None) -> list[Verdict]:
+def verify_krushkal_coeffs(a: MapAnalysis) -> list[Verdict]:
     """Compare mu, lambda, gamma against the coefficients of P they predict:
     mu = [V^g X^(n-1) Y^k] P, lambda = [V^(g-1) X^n Y^k] P, and (absent
     3-petal loops) gamma = [U V^(g-1) X^n Y^k] P, where k counts the trivial
-    loops and n = |V| - 1.  `data` replaces the analysis's own reduction."""
+    loops and n = |V| - 1."""
     m = a.map
-    data = data if data is not None else a.reduced
+    data = a.reduced
     g = m.genus
     P = a.P
     n = m.V - 1
@@ -719,7 +721,7 @@ def verify_tait_duality(a: DiagramAnalysis) -> Verdict:
     equals G_A exactly, with dual() applied to G_B's own map."""
     g_a, g_b = a.tait
     ok = dual(g_b.map) == g_a.map
-    return _verdict("tait_duality", ok, "G_B compared with dual(G_A)")
+    return _verdict("tait_duality", ok, "dual(G_B) compared with G_A")
 
 
 def verify_polynomial_duality(a: MapAnalysis, dual: MapAnalysis) -> Verdict:

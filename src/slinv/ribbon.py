@@ -15,8 +15,9 @@ for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
 k decides trivial loops and parallel edges; walk_subgraphs counts the same
 numbers for every subgraph in walk_choices, the depth-first walk with one
 cut that the state sum shares, which subgraph_rows lists and subgraph_tally
-tallies.  The rational homology that checks these integer routes is the
-homology module's.
+tallies.  Every component count and class partition in the package goes
+through UndoableUnionFind, the union-find whose unions the walk undoes.  The
+rational homology that checks these integer routes is the homology module's.
 """
 
 from __future__ import annotations
@@ -376,49 +377,25 @@ def is_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
 # -- spanning subgraphs -----------------------------------------------------
 
 
-def find_root(parent: list[int], x: int) -> int:
-    """Root of x in the union-find forest `parent`, halving the path walked."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
-    """Join `pairs` in the union-find forest `parent`; the number of merges."""
-    merges = 0
-    for i, j in pairs:
-        ri, rj = find_root(parent, i), find_root(parent, j)
-        if ri != rj:
-            parent[ri] = rj
-            merges += 1
-    return merges
-
-
-def union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """The root of each of 0..n-1 in the union-find forest joining `pairs`."""
-    parent = list(range(n))
-    _join(parent, pairs)
-    return [find_root(parent, i) for i in range(n)]
-
-
-def component_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
-    """The number of classes of 0..n-1 once `pairs` are joined."""
-    return n - _join(list(range(n)), pairs)
-
-
 class UndoableUnionFind:
     """Union-find over 0..n-1 whose unions can be undone, last first: union
     by size and no path compression, so undoing a union resets one parent
-    (Westbrook-Tarjan, SIAM J. Comput. 1989).  The depth-first sums use it;
-    one-shot counts keep find_root, whose path halving cannot be undone but
-    costs half as much per count."""
+    (Westbrook-Tarjan, SIAM J. Comput. 1989).  It is the package's one
+    union-find: the depth-first sums undo their unions, and the one-shot
+    counts, class partitions and spanning forests keep theirs."""
 
     __slots__ = ("parent", "size")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
         self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        """The root of x's class."""
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
     def union(self, i: int, j: int) -> int:
         """Join the classes of i and j.  Returns the root hung below the
@@ -442,6 +419,15 @@ class UndoableUnionFind:
         if child >= 0:
             self.size[self.parent[child]] -= self.size[child]
             self.parent[child] = child
+
+
+def component_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """The number of classes of 0..n-1 once `pairs` are joined."""
+    union = UndoableUnionFind(n).union
+    for i, j in pairs:
+        if union(i, j) >= 0:
+            n -= 1
+    return n
 
 
 def smooth(ends: list[int], x1: int, y1: int, x2: int, y2: int) -> int:
@@ -525,7 +511,7 @@ def subgraph_rows(m: CombinatorialMap) -> list[tuple[int, int, int, int, int]]:
     """subgraph_numbers(m, H) of every spanning subgraph H, in mask order
     (bit e set means e in H): walk_subgraphs with a list sink."""
     rows: list[tuple[int, int, int, int, int]] = []
-    walk_subgraphs(m, rows=rows)
+    walk_subgraphs(m, rows)
     return rows
 
 
@@ -533,20 +519,15 @@ def subgraph_tally(m: CombinatorialMap) -> dict[tuple[int, int, int, int, int], 
     """How many spanning subgraphs have each row of subgraph_rows:
     walk_subgraphs with a tally sink."""
     tally: dict[tuple[int, int, int, int, int], int] = {}
-    walk_subgraphs(m, tally=tally)
+    walk_subgraphs(m, tally)
     return tally
 
 
-def walk_subgraphs(
-    m: CombinatorialMap,
-    *,
-    tally: dict[tuple[int, int, int, int, int], int] | None = None,
-    rows: list[tuple[int, int, int, int, int]] | None = None,
-) -> None:
-    """subgraph_numbers(m, H) of every spanning subgraph H, counted into
-    `tally` or, when `tally` is None, appended to `rows` in mask order:
-    walk_choices with edge e out of H as its first choice and in H as its
-    second, and _subgraph_row of each leaf's (|H|, bc, c, c*).
+def walk_subgraphs(m: CombinatorialMap, sink: dict | list) -> None:
+    """subgraph_numbers(m, H) of every spanning subgraph H, counted into a
+    dict `sink` or appended to a list `sink` in mask order: walk_choices
+    with edge e out of H as its first choice and in H as its second, and
+    _subgraph_row of each leaf's (|H|, bc, c, c*).
 
     c and c* are the classes of union-finds on the vertices over H and on
     the faces over E - H.  bc counts the closed curves of the medial
@@ -574,7 +555,7 @@ def walk_subgraphs(
         a, b = after[x], after[sigma[x]] + 1
         ends[a], ends[b] = b, a
     row = partial(_subgraph_row, m)
-    walk_choices(choices, ends, (m.V, m.F), row, curves=int(m.E == 0), tally=tally, rows=rows)
+    walk_choices(choices, ends, (m.V, m.F), row, sink, curves=int(m.E == 0))
 
 
 # -- the shared 2^n walk --------------------------------------------------------
@@ -593,15 +574,13 @@ def walk_choices(
     ends: list[int],
     sizes: Sequence[int],
     row: Callable[..., tuple],
+    sink: dict | list,
     *,
     curves: int = 0,
-    tally: dict | None = None,
-    rows: list | None = None,
 ) -> None:
     """row(count, curves, *classes) of every mask of `choices`, counted into
-    `tally` or, when `tally` is None, appended to `rows` in mask order (bit
-    e set = item e's second choice): the walk of walk_states and
-    walk_subgraphs.
+    a dict `sink` or appended to a list `sink` in mask order (bit e set =
+    item e's second choice): the walk of walk_states and walk_subgraphs.
 
     Item e owns ends 4e..4e+3 of `ends`, which pairs each open curve end
     with the other end of its strand.  A choice (x1, y1, x2, y2, f, i, j)
@@ -620,6 +599,7 @@ def walk_choices(
     """
     n = len(choices)
     k = _cut_depth(n)
+    tallying = isinstance(sink, dict)
     bits = max(2 * n + curves, *sizes).bit_length()
     # the place in a key of each of row's arguments: count, curves (the
     # lowest digit, so that smooth's result adds in), each union-find's classes
@@ -641,17 +621,17 @@ def walk_choices(
         for pair in choices[:k]:
             for *_, f, i, j in pair:
                 joined[f] += (i, j)
-        low = [(forest, sorted(set(elements))) for forest, elements in zip(forests, joined) if elements]
-        order = None if tally is not None else []
+        low = [(forest.find, sorted(set(elements))) for forest, elements in zip(forests, joined) if elements]
+        order = None if tallying else []
         _walk_from((steps, ends, k, partial(_top_leaf, (steps, ends, k, low, groups, order))), n - 1, start)
         if order is not None:
             keys = [top + delta for top, deltas in order for delta in deltas]
     else:
         _walk_from((steps, ends, 0, keys.append), n - 1, start)
     digit = (1 << bits) - 1
-    if tally is None:
+    if not tallying:
         table = {key: row(*[key >> place & digit for place in places]) for key in set(keys)}
-        rows.extend(map(table.__getitem__, keys))
+        sink.extend(map(table.__getitem__, keys))
         return
     counts = _counted(keys)
     for deltas, tops in groups.values():
@@ -662,7 +642,7 @@ def walk_choices(
                 counts[key] = counts.get(key, 0) + n_top * n_low
     # no two keys share a row, so each count carries over whole
     for key, n_key in counts.items():
-        tally[row(*[key >> place & digit for place in places])] = n_key
+        sink[row(*[key >> place & digit for place in places])] = n_key
 
 
 def _counted(keys: list[int]) -> dict[int, int]:
@@ -710,13 +690,10 @@ def _top_leaf(cut: tuple, key: int) -> None:
     key with its bottom in mask order."""
     steps, ends, k, low, groups, order = cut
     signature = ends[: 4 * k]
-    for forest, elements in low:
-        parent = forest.parent
+    for find, elements in low:
         labels: dict[int, int] = {}
         for u in elements:
-            while parent[u] != u:
-                u = parent[u]
-            signature.append(labels.setdefault(u, len(labels)))
+            signature.append(labels.setdefault(find(u), len(labels)))
     signature = tuple(signature)
     group = groups.get(signature)
     if group is None:

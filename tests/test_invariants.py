@@ -47,6 +47,7 @@ from slinv import (
     twist_regions,
     verify_jk_coefficients,
     verify_krushkal_coeffs,
+    verify_tait_duality,
     verify_twist_formula,
     volume_bounds,
     writhe,
@@ -92,7 +93,7 @@ def test_genus_two_bouquet_coefficient_slots(maps):
     data = reduce(MapAnalysis(m))
     assert (data.lam, data.mu, data.gamma) == (4, 0, 2)
     assert not data.has_3petal
-    assert all(v.passed for v in verify_krushkal_coeffs(MapAnalysis(m), data=data))
+    assert all(v.passed for v in verify_krushkal_coeffs(MapAnalysis(m)))
 
 
 def test_theta_graph_polynomial_and_reduction(maps):
@@ -103,7 +104,7 @@ def test_theta_graph_polynomial_and_reduction(maps):
     assert len(data.kept_edges) == 1  # three mutually parallel edges
     assert (data.lam, data.mu, data.gamma, data.trivial_loops_deleted) == (0, 0, 0, 0)
     assert tutte_check(MapAnalysis(m))
-    verdicts = {v.name: v.status for v in verify_krushkal_coeffs(MapAnalysis(m), data=data)}
+    verdicts = {v.name: v.status for v in verify_krushkal_coeffs(MapAnalysis(m))}
     assert verdicts["mu_coefficient"] == "pass"
     # the lambda and gamma slots sit at V^(g-1): absent on the sphere
     assert verdicts["lambda_coefficient"] == "skipped"
@@ -152,8 +153,7 @@ def test_reduction_is_independent_of_representative_choice(diagrams):
             (r.lam, r.mu, r.gamma, r.trivial_loops_deleted, r.has_3petal) for r in runs
         }
         assert len(stats) == 1
-        for r in runs:
-            assert all(v.status != "fail" for v in verify_krushkal_coeffs(graph, data=r))
+        assert all(v.status != "fail" for v in verify_krushkal_coeffs(graph))
 
 
 TAU_GOLDENS = {
@@ -349,6 +349,13 @@ def test_jk_coefficient_verifier_on_corpus(colorable_diagrams):
     for name, d in colorable_diagrams.items():
         verdict = verify_jk_coefficients(DiagramAnalysis(d))
         assert verdict.passed, f"{name}: {verdict.detail}"
+
+
+def test_tait_duality_verdict_names_its_comparison(colorable_diagrams):
+    # the verifier computes dual(G_B) == G_A, and its detail says so
+    for name, d in colorable_diagrams.items():
+        verdict = verify_tait_duality(DiagramAnalysis(d))
+        assert (verdict.status, verdict.detail) == ("pass", "dual(G_B) compared with G_A"), name
 
 
 def test_jk_coefficient_verifier_needs_crossings():

@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import slinv
@@ -43,12 +46,13 @@ def _loaded(node: ast.Import | ast.ImportFrom) -> set[str]:
 
 
 def test_the_fast_path_imports_no_oracle():
-    """No fast path may check itself: the integer modules never import the
-    oracle, apart from a module-level __getattr__ that forwards old names
-    to it on first use; cli loads it only inside a function (`states
-    --dump`); and ribbon and diagram do no Fraction arithmetic at all."""
+    """No fast path may check itself: the integer modules and the package
+    never import the oracle, apart from a module-level __getattr__ that
+    forwards its names to it on first use; cli loads it only inside a
+    function (`states --dump`); and ribbon and diagram do no Fraction
+    arithmetic at all."""
     found = []
-    for name in ("diagram.py", "ribbon.py", "invariants.py", "poly.py", "cli.py"):
+    for name in ("__init__.py", "diagram.py", "ribbon.py", "invariants.py", "poly.py", "cli.py"):
         for owner, node in _import_sites(ast.parse((PACKAGE / name).read_text())):
             loaded = _loaded(node)
             lazy = owner is not None if name == "cli.py" else owner == "__getattr__"
@@ -57,6 +61,20 @@ def test_the_fast_path_imports_no_oracle():
             if "fractions" in loaded and name in ("diagram.py", "ribbon.py"):
                 found.append(f"{name}:{node.lineno} imports fractions")
     assert found == []
+
+
+def test_the_package_loads_the_oracle_on_first_use():
+    """`import slinv.cli` loads neither the oracle nor its linear algebra,
+    and the package's oracle names still import, loading it then."""
+    script = (
+        "import sys, slinv.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('slinv.homology', 'slinv._linalg')))\n"
+        "from slinv import HomologyContext\n"
+        "print(HomologyContext.__module__, 'slinv.homology' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines() == ["[]", "slinv.homology True"]
 
 
 # each verifier's subject, the analysis it checks
@@ -93,7 +111,7 @@ def test_verifiers_take_their_analysis():
         first = ast.unparse(params[0].annotation) if params[0].annotation else None
         if first != subject:
             found.append(f"{name} takes {first} first, not {subject}")
-        found.extend(f"{name} has `{p.arg}`" for p in params if p.arg in ("analysis", "cap"))
+        found.extend(f"{name} has `{p.arg}`" for p in params if p.arg in ("analysis", "cap", "data"))
     for node in ast.walk(tree):
         if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
             last = node.values[-1]
@@ -105,4 +123,49 @@ def test_verifiers_take_their_analysis():
         defaults = dict(zip([p.arg for p in args.args][::-1], args.defaults[::-1]))
         if "k" in defaults:
             found.append(f"ribbon.{name} defaults k to {ast.unparse(defaults['k'])}")
+    assert found == []
+
+
+def _module_names(tree: ast.Module):
+    """(line, name) of each name bound at the top level of `tree`."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.lineno, top.name
+        elif isinstance(top, (ast.Import, ast.ImportFrom)):
+            yield from ((top.lineno, alias.asname or alias.name) for alias in top.names)
+        elif isinstance(top, ast.Assign):
+            yield from ((top.lineno, t.id) for t in top.targets if isinstance(t, ast.Name))
+
+
+def _root_chases(tree: ast.AST):
+    """The `while a[x] != x` loops in `tree`, which walk x up to its
+    union-find root."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Compare):
+            test = node.test
+            sides = [test.left, *test.comparators]
+            names = {ast.unparse(side) for side in sides if isinstance(side, ast.Name)}
+            slots = {ast.unparse(side.slice) for side in sides if isinstance(side, ast.Subscript)}
+            if [type(op) for op in test.ops] == [ast.NotEq] and names & slots:
+                yield node
+
+
+def test_one_union_find():
+    """UndoableUnionFind is the package's one union-find: no module binds
+    the names of another, and no code outside it chases a root by hand."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found.extend(
+            f"{path.name}:{line} binds {name}"
+            for line, name in _module_names(tree)
+            if name in ("find_root", "_join", "union_roots")
+        )
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        allowed = {id(loop) for cls in classes if cls.name == "UndoableUnionFind" for loop in _root_chases(cls)}
+        found.extend(
+            f"{path.name}:{loop.lineno} chases a union-find root"
+            for loop in _root_chases(tree)
+            if id(loop) not in allowed
+        )
     assert found == []
