@@ -123,4 +123,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["homology", *_ORACLE])
+# the public names, less the submodules that the imports above bind
+__all__ = [name for name, value in globals().items() if name[0] != "_" and type(value) is not type(poly)]
+__all__ = sorted(__all__ + ["homology", *_ORACLE])

@@ -88,8 +88,11 @@ class LaurentPoly:
         for exps, coeff in (terms or {}).items():
             if len(exps) != len(self.variables):
                 raise ValueError(f"exponent vector {exps} has wrong length")
+            ints = tuple(map(int, exps))
+            if ints != tuple(exps) or int(coeff) != coeff:
+                raise ValueError(f"term {tuple(exps)}: {coeff} has a non-integer coefficient or exponent")
             if coeff:
-                clean[tuple(int(e) for e in exps)] = int(coeff)
+                clean[ints] = int(coeff)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover

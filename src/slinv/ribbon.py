@@ -13,11 +13,11 @@ sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 Each edge carries a designated tail half-edge, giving it a direction used
 for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
 k decides trivial loops and parallel edges; walk_subgraphs counts the same
-numbers for every subgraph in walk_choices, the depth-first walk with one
-cut that the state sum shares, which subgraph_rows lists and subgraph_tally
-tallies.  Every component count and class partition in the package goes
-through UndoableUnionFind, the union-find whose unions the walk undoes.  The
-rational homology that checks these integer routes is the homology module's.
+numbers for every subgraph in walk_choices, shared with the state sum: a
+flat walk for subgraph_rows, and a frontier sweep for a large tally.  Every
+component count and class partition goes through UndoableUnionFind, whose
+unions the flat walk undoes, except the sweep's frontier partitions, which
+are label tuples.  The rational homology module checks these integer routes.
 """
 
 from __future__ import annotations
@@ -560,13 +560,11 @@ def walk_subgraphs(m: CombinatorialMap, sink: dict | list) -> None:
 
 # -- the shared 2^n walk --------------------------------------------------------
 
-
-def _cut_depth(n: int) -> int:
-    """The cut depth k of walk_choices: none under 6 items, where the cut
-    costs more than it saves, and n // 2 - 1 from there.  Measured best:
-    n // 2 - 1 to n // 2 on torus diagrams and their Tait graphs, about
-    n / 3 on genus 1-3 maps."""
-    return n // 2 - 1 if n >= 6 else 0
+# The fewest items whose tally walk_choices sweeps.  Best-of-10 timings of
+# state_tally and subgraph_tally (8 seeded torus diagrams, their Tait graphs
+# and 8 genus 1-3 maps per size; Python 3.11, 2-vCPU Xeon) put the sweep at
+# 1.2-1.7x the flat walk's time at 6 items, 0.9-1.3x at 7, 0.6-0.8x at 8.
+_SWEEP_FROM = 8
 
 
 def walk_choices(
@@ -589,91 +587,56 @@ def walk_choices(
     those closed (plus `curves`) and classes each union-find's class count,
     packed into one int key, a digit each, so that keys add along the walk.
 
-    The top walk decides items n-1..k, k = _cut_depth(n), undoing each step
-    on its way back.  The bottom items then read only their ends 0..4k-1,
-    whose partners are again among them, and the partition of the elements
-    they join: the top leaf's signature.  The first leaf of a signature
-    walks the bottom from key 0, and each leaf adds those changes to its own
-    key.  Cost: 2^(n-k) + G * 2^k leaves for G signatures, not 2^n; k = 0
-    is one flat walk.
+    A dict sink of _SWEEP_FROM items or more takes _sweep; any other takes
+    the flat walk, depth first with each step undone on the way back, which
+    is also the sweep's test oracle.
     """
     n = len(choices)
-    k = _cut_depth(n)
-    tallying = isinstance(sink, dict)
     bits = max(2 * n + curves, *sizes).bit_length()
     # the place in a key of each of row's arguments: count, curves (the
     # lowest digit, so that smooth's result adds in), each union-find's classes
     places = [bits, 0, *range(2 * bits, (2 + len(sizes)) * bits, bits)]
-    forests = [UndoableUnionFind(size) for size in sizes]
     units = [1 << place for place in places[2:]]
     weights = (0, 1 << bits)
-    steps = [
-        [(x1, y1, x2, y2, forests[f], i, j, w, units[f]) for w, (x1, y1, x2, y2, f, i, j) in zip(weights, pair)]
-        for pair in choices
-    ]
     start = curves
     for size, unit in zip(sizes, units):
         start += size * unit
-    keys: list[int] = []  # the leaves' keys in mask order, when not cut
-    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    if k:
-        joined: list[list[int]] = [[] for _ in sizes]  # by the bottom items
-        for pair in choices[:k]:
-            for *_, f, i, j in pair:
-                joined[f] += (i, j)
-        low = [(forest.find, sorted(set(elements))) for forest, elements in zip(forests, joined) if elements]
-        order = None if tallying else []
-        _walk_from((steps, ends, k, partial(_top_leaf, (steps, ends, k, low, groups, order))), n - 1, start)
-        if order is not None:
-            keys = [top + delta for top, deltas in order for delta in deltas]
-    else:
-        _walk_from((steps, ends, 0, keys.append), n - 1, start)
     digit = (1 << bits) - 1
-    if not tallying:
-        table = {key: row(*[key >> place & digit for place in places]) for key in set(keys)}
-        sink.extend(map(table.__getitem__, keys))
-        return
-    counts = _counted(keys)
-    for deltas, tops in groups.values():
-        bottom = _counted(deltas)
-        for top, n_top in _counted(tops).items():
-            for delta, n_low in bottom.items():
-                key = top + delta
-                counts[key] = counts.get(key, 0) + n_top * n_low
+    if isinstance(sink, dict) and n >= _SWEEP_FROM:
+        counts = _sweep(choices, ends, weights, units, start)
+    else:
+        forests = [UndoableUnionFind(size) for size in sizes]
+        steps = [
+            [(x1, y1, x2, y2, forests[f], i, j, w, units[f]) for w, (x1, y1, x2, y2, f, i, j) in zip(weights, pair)]
+            for pair in choices
+        ]
+        keys = [] if n else [start]  # the leaves' keys in mask order
+        if n:
+            _walk((steps, ends, keys.append), n - 1, start)
+        if isinstance(sink, list):
+            table = {key: row(*[key >> place & digit for place in places]) for key in set(keys)}
+            sink.extend(map(table.__getitem__, keys))
+            return
+        counts = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
     # no two keys share a row, so each count carries over whole
     for key, n_key in counts.items():
         sink[row(*[key >> place & digit for place in places])] = n_key
 
 
-def _counted(keys: list[int]) -> dict[int, int]:
-    """How many times each key occurs in `keys`."""
-    counts: dict[int, int] = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _walk_from(walk: tuple, e: int, key: int) -> None:
-    """Walk the items e down to walk's last one from `key`, or when there
-    are none, hand `key` to the leaf."""
-    if e < walk[2]:
-        walk[3](key)
-    else:
-        _walk(walk, e, key)
-
-
 def _walk(walk: tuple, e: int, key: int) -> None:
-    """The leaves of walk_choices below one choice of the items above e,
+    """The leaves of the flat walk below one choice of the items above e,
     whose key so far is `key`.  Module-level rather than nested in
     walk_choices: a nested function that calls itself is a reference cycle,
     which keeps each walk alive until the cyclic collector runs."""
-    steps, ends, last, leaf = walk
+    steps, ends, leaf = walk
     for x1, y1, x2, y2, forest, i, j, weight, unit in steps[e]:
         here = key + weight + smooth(ends, x1, y1, x2, y2)
         merged = forest.union(i, j)
         if merged >= 0:
             here -= unit
-        if e > last:
+        if e:
             _walk(walk, e - 1, here)
         else:
             leaf(here)
@@ -681,28 +644,58 @@ def _walk(walk: tuple, e: int, key: int) -> None:
         unsmooth(ends, x1, y1, x2, y2)
 
 
-def _top_leaf(cut: tuple, key: int) -> None:
-    """File a top leaf's key under its signature: the pairing of the ends
-    0..4k-1 and, per union-find, the classes of the elements the bottom
-    joins, numbered in order of first sight.  A new signature walks the
-    bottom once, listing the change each bottom mask makes to a key; a
-    tallying walk lists the signature's top keys, a listing walk every top
-    key with its bottom in mask order."""
-    steps, ends, k, low, groups, order = cut
-    signature = ends[: 4 * k]
-    for find, elements in low:
-        labels: dict[int, int] = {}
-        for u in elements:
-            signature.append(labels.setdefault(find(u), len(labels)))
-    signature = tuple(signature)
-    group = groups.get(signature)
-    if group is None:
-        group = groups[signature] = ([], [])
-        _walk_from((steps, ends, 0, group[0].append), k - 1, 0)
-    if order is None:
-        group[1].append(key)
-    else:
-        order.append((key, group[0]))
+def _sweep(choices: Sequence, ends: list[int], weights: tuple, units: list[int], start: int) -> dict[int, int]:
+    """How many leaves of the flat walk have each key, by a frontier sweep
+    (Sekine-Imai-Tani, ISAAC 1995; Bar-Natan, JKTR 2007).  With items
+    n-1..e decided, the rest read only the signature: the pairing ends[:4e],
+    whose partners stay among those ends, and per union-find the classes of
+    the elements that items 0..e-1 join, labelled in order of first sight.
+    Equal signatures add equal changes to a key, so the sweep keeps one
+    {partial key: count} per signature: two smooths per signature and item."""
+    # frontiers[e][f]: the elements of union-find f that items 0..e-1 join
+    joined: list[set[int]] = [set() for _ in units]
+    frontiers = [[[] for _ in units]]
+    for pair in choices:
+        for *_, f, i, j in pair:
+            joined[f].update((i, j))
+        frontiers.append([sorted(elements) for elements in joined])
+    tallies = {(tuple(ends), *(tuple(range(len(top))) for top in frontiers[-1])): {start: 1}}
+    for e in range(len(choices) - 1, -1, -1):
+        # each element's place on the frontier above item e, and the places
+        # of those that stay on it below
+        at = [{u: p for p, u in enumerate(top)} for top in frontiers[e + 1]]
+        kept = [[where[u] for u in low] for where, low in zip(at, frontiers[e])]
+        moves = [
+            (x1, y1, x2, y2, f, at[f][i], at[f][j], w, units[f])
+            for w, (x1, y1, x2, y2, f, i, j) in zip(weights, choices[e])
+        ]
+        swept: dict[tuple, dict[int, int]] = {}
+        for (pairing, *partitions), tally in tallies.items():
+            live = list(pairing)
+            for x1, y1, x2, y2, f, i, j, weight, unit in moves:
+                delta = weight + smooth(live, x1, y1, x2, y2)
+                after = [tuple(live[: 4 * e])]
+                unsmooth(live, x1, y1, x2, y2)
+                for g, labels in enumerate(partitions):
+                    old = new = -1  # class old joins class new
+                    if g == f and labels[i] != labels[j]:
+                        delta -= unit
+                        old, new = labels[j], labels[i]
+                    if old >= 0 or len(kept[g]) < len(labels):
+                        first: dict[int, int] = {}
+                        labels = tuple(
+                            [first.setdefault(new if labels[p] == old else labels[p], len(first)) for p in kept[g]]
+                        )
+                    after.append(labels)
+                signature = tuple(after)
+                bucket = swept.get(signature)
+                if bucket is None:
+                    swept[signature] = {key + delta: count for key, count in tally.items()}
+                else:
+                    for key, count in tally.items():
+                        bucket[key + delta] = bucket.get(key + delta, 0) + count
+        tallies = swept
+    return tallies.popitem()[1]
 
 
 # -- trivial loops and parallel edges ------------------------------------------

@@ -1,11 +1,10 @@
-"""Time the two 2^n walks and show what their cut saves.
+"""Time the two 2^n tallies and count their smooths.
 
 For seeded torus diagrams at c = 8..14 (the state sum, and the subgraph sum
 over the shaded Tait graph) and seeded genus 1-3 maps at E = 8..12, print
 one line per input: the best time of state_tally or subgraph_tally, 2^n,
-the cut depth k, the number G of distinct signatures and the leaves walked
-(2^(n-k) top leaves plus 2^k for each signature).  Sources without the cut
-report k = 0, G = 1 and 2^n leaves.
+and the number of calls to ribbon.smooth in one tally, read by wrapping it.
+A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item.
 
     PYTHONPATH=src python tests/kernel_timing.py [--count 3] [--reps 5] [--json FILE]
 """
@@ -36,32 +35,20 @@ def sample_maps(seed: int, count: int, edges: int) -> list:
     return out
 
 
-def leaves_walked(tally_of) -> tuple[int, int, int]:
-    """(k, G, leaves) of one tallying walk, read by wrapping the walk's
-    recursion: each call on the last item of a walk visits two leaves, and
-    each walk after the first is the bottom walk of a new signature."""
-    ribbon = slinv.ribbon
-    if not hasattr(ribbon, "walk_choices"):
-        return 0, 1, sum(tally_of().values())
-    walk, walk_from, leaves, walks = ribbon._walk, ribbon._walk_from, [], []
+def smooth_calls(tally_of) -> int:
+    """The calls to ribbon.smooth in one tally_of()."""
+    smooth, calls = slinv.ribbon.smooth, []
 
-    def counted(state, e, key):
-        steps, _, last, _ = state
-        if e == last:
-            leaves.extend(steps[e])
-        walk(state, e, key)
+    def counted(*args):
+        calls.append(None)
+        return smooth(*args)
 
-    def counted_from(state, e, key):
-        walks.append(e)
-        walk_from(state, e, key)
-
-    ribbon._walk, ribbon._walk_from = counted, counted_from
+    slinv.ribbon.smooth = counted
     try:
-        n = sum(tally_of().values()).bit_length() - 1
+        tally_of()
     finally:
-        ribbon._walk, ribbon._walk_from = walk, walk_from
-    k = ribbon._cut_depth(n)
-    return k, max(len(walks) - 1, 1), len(leaves)
+        slinv.ribbon.smooth = smooth
+    return len(calls)
 
 
 def best_time(fn, reps: int) -> float:
@@ -93,10 +80,10 @@ def main(argv=None) -> int:
 
     lines = []
     for name, n, tally_of in cases:
-        k, groups, leaves = leaves_walked(tally_of)
+        smooths = smooth_calls(tally_of)
         seconds = best_time(tally_of, args.reps)
-        lines.append({"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "k": k, "G": groups, "leaves": leaves})
-        print(f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} k={k}  G={groups:<4} leaves={leaves}")
+        lines.append({"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "smooths": smooths})
+        print(f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} smooths={smooths}")
     if args.json:
         Path(args.json).write_text(json.dumps(lines, indent=1) + "\n")
     return 0

@@ -504,8 +504,8 @@ def test_the_sums_build_no_fractions():
 
 
 def test_reports_on_nugatory_free_diagrams_at_10_and_12_crossings(nugatory_free_diagrams):
-    """The paper's theorems on reduced diagrams at the sizes where the cut
-    walks run: the coefficient and span checks pass on all six, the twist
+    """The paper's theorems on reduced diagrams at the sizes where the
+    sweep runs: the coefficient and span checks pass on all six, the twist
     formula passes wherever its hypotheses hold, and each report is
     byte-identical to the one computed by flat walks."""
     import slinv.ribbon
@@ -518,7 +518,7 @@ def test_reports_on_nugatory_free_diagrams_at_10_and_12_crossings(nugatory_free_
         status = {v.name: v.status for v in report.verdicts}
         assert status["jk_coefficients"] == status["span"] == "pass"
         twist.append(status["twist_formula"])
-        with mock.patch.object(slinv.ribbon, "_cut_depth", lambda n: 0):
+        with mock.patch.object(slinv.ribbon, "_SWEEP_FROM", d.crossings + 1):
             flat = full_report(d)
         assert json.dumps(report.to_json()) == json.dumps(flat.to_json())
     assert Counter(twist) == {"pass": 4, "skipped": 2}

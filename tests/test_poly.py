@@ -260,3 +260,18 @@ def test_jk_laurent_conversions_validate_the_ring():
     assert JKPoly.from_laurent(jk.to_laurent()) == jk
     with pytest.raises(ValueError):
         JKPoly.from_laurent(LaurentPoly(("t", "z"), {(0, 0): 1}, (1, 1)))
+
+
+def test_non_integer_coefficients_and_exponents_are_rejected():
+    """Construction and from_json raise ValueError on a coefficient or an
+    exponent that is not an integer, which int() would truncate, and still
+    take integral values of any numeric type."""
+    with pytest.raises(ValueError):
+        LaurentPoly(("x",), {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json([{"coeff": 1.5, "exps": [0]}], ("x",))
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json([{"coeff": 1, "exps": [0.5]}], ("x",))
+    with pytest.raises(ValueError):
+        JKPoly({(1.25, 0): 1})
+    assert LaurentPoly(("x",), {(2.0,): Fraction(3)}) == LaurentPoly(("x",), {(2,): 3})

@@ -156,16 +156,16 @@ def rotation_systems(draw):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(rotation_systems(), st.integers(0, 6))
-def test_subgraph_numbers_property(system, cut):
-    """assert_numbers_match_profiles on a drawn map, with the subgraph walk
-    cut at a drawn depth."""
+@given(rotation_systems(), st.integers(0, 7))
+def test_subgraph_numbers_property(system, sweep_from):
+    """assert_numbers_match_profiles on a drawn map, with the subgraph
+    tally swept from a drawn number of edges on."""
     rotations, pairing = system
     try:
         m = CombinatorialMap(rotations, pairing)
     except Disconnected:
         return
-    with mock.patch.object(slinv.ribbon, "_cut_depth", lambda n: min(cut, n)):
+    with mock.patch.object(slinv.ribbon, "_SWEEP_FROM", sweep_from):
         assert_numbers_match_profiles("drawn map", m)
 
 

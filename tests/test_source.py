@@ -169,3 +169,15 @@ def test_one_union_find():
             if id(loop) not in allowed
         )
     assert found == []
+
+
+def test_the_public_list_names_no_fast_submodule():
+    """`slinv.__all__` lists the public names and the oracle's, and of the
+    submodules only `homology`, so `from slinv import *` binds no fast
+    module."""
+    modules = {name for name in dir(slinv) if type(getattr(slinv, name)) is type(slinv)}
+    assert {"diagram", "errors", "invariants", "poly", "ribbon"} <= modules
+    assert modules & set(slinv.__all__) <= {"homology"}
+    assert {"homology", *slinv._ORACLE, "full_report", "DEFAULT_CAP", "CombinatorialMap"} <= set(slinv.__all__)
+    assert slinv.__all__ == sorted(set(slinv.__all__))
+    assert all(hasattr(slinv, name) for name in slinv.__all__)

@@ -1,12 +1,14 @@
-"""The cut of the two 2^n walks: at every cut depth k, the state walk and the
-subgraph walk give the rows and the tally of one flat walk (k = 0), and the
-default depth walks far fewer leaves than there are states."""
+"""The frontier sweep of the two 2^n tallies: forced on every input, the
+state sum's and the subgraph sum's tally equal the Counter of the flat
+walk's rows, which equal the per-mask oracles' rows, and the sweep smooths
+far fewer times than there are masks."""
 
 from collections import Counter
 from unittest import mock
 
 import slinv.ribbon
 from slinv import (
+    CombinatorialMap,
     checkerboard,
     enumerate_states,
     parse_diagram,
@@ -21,26 +23,19 @@ from slinv import (
 from conftest import sample_ribbon_maps, sample_torus_diagrams
 
 
-def cut_at(k):
-    """Force the cut depth of both walks to k."""
-    return mock.patch.object(slinv.ribbon, "_cut_depth", lambda n: k)
-
-
-def assert_every_cut_matches(name, n, rows_of, tally_of, expected):
-    """rows_of() and tally_of() at every k in 0..n against the flat walk's,
-    and the rows against `expected`, the per-mask oracle's (or None)."""
-    with cut_at(0):
-        flat_rows, flat_tally = rows_of(), tally_of()
+def assert_the_sweep_tallies_the_rows(name, n, rows_of, tally_of, expected):
+    """rows_of(), the flat walk's rows, against `expected`, the per-mask
+    oracle's (or None), and tally_of() against their Counter with the sweep
+    forced on every tally and with it off."""
+    rows = rows_of()
     if expected is not None:
-        assert flat_rows == expected, name
-    assert flat_tally == Counter(flat_rows), name
-    for k in range(n + 1):
-        with cut_at(k):
-            assert rows_of() == flat_rows, (name, k)
-            assert tally_of() == flat_tally, (name, k)
+        assert rows == expected, name
+    for sweep_from in (0, n + 1):
+        with mock.patch.object(slinv.ribbon, "_SWEEP_FROM", sweep_from):
+            assert tally_of() == Counter(rows), (name, sweep_from)
 
 
-def test_every_cut_of_the_state_walk_gives_the_flat_rows(diagrams):
+def test_the_sweep_tallies_the_flat_state_rows(diagrams):
     """The corpus (the non-colorable knot and the 0-crossing unknot
     included) and seeded torus diagrams up to 7 crossings against the
     rational-homology states, and seeded ones up to 10 against the flat
@@ -52,16 +47,16 @@ def test_every_cut_of_the_state_walk_gives_the_flat_rows(diagrams):
     labelled += [(f"random[{i}]", d, d.crossings <= 7) for i, d in enumerate(seeded)]
     for name, d, oracle in labelled:
         expected = [(s.b, s.size, s.r) for s in enumerate_states(d)] if oracle else None
-        assert_every_cut_matches(
+        assert_the_sweep_tallies_the_rows(
             name, d.crossings, lambda: state_numbers(d), lambda: state_tally(d), expected
         )
 
 
-def test_every_cut_of_the_subgraph_walk_gives_the_per_mask_rows(maps):
-    """The corpus maps, both Tait graphs of seeded torus diagrams up to 10
-    crossings and seeded genus 1-3 maps up to 10 edges, against
-    subgraph_numbers of each mask."""
-    labelled = list(maps.items())
+def test_the_sweep_tallies_the_per_mask_subgraph_rows(maps):
+    """The corpus maps, the edgeless map, both Tait graphs of seeded torus
+    diagrams up to 10 crossings and seeded genus 1-3 maps up to 10 edges,
+    against subgraph_numbers of each mask."""
+    labelled = [*maps.items(), ("the edgeless map", CombinatorialMap([()], []))]
     for i, d in enumerate(sample_torus_diagrams(seed=4243, count=4, c_lo=7, c_hi=10)):
         pair = tait_graphs(d, checkerboard(d))
         labelled += [(f"random diagram {i}: G_A", pair.g_a), (f"random diagram {i}: G_B", pair.g_b)]
@@ -73,25 +68,25 @@ def test_every_cut_of_the_subgraph_walk_gives_the_per_mask_rows(maps):
         expected = [
             subgraph_numbers(m, [e for e in m.edge_ids if mask >> e & 1]) for mask in range(1 << m.E)
         ]
-        assert_every_cut_matches(name, m.E, lambda: subgraph_rows(m), lambda: subgraph_tally(m), expected)
+        assert_the_sweep_tallies_the_rows(
+            name, m.E, lambda: subgraph_rows(m), lambda: subgraph_tally(m), expected
+        )
 
 
-def test_the_cut_walks_fewer_than_half_as_many_leaves_as_masks(monkeypatch):
-    """A regression guard: at c = 12 the top leaves plus the bottom leaves
-    of each distinct signature stay under 2^c / 2, for the state sum and
-    for the sum over a Tait graph."""
+def test_the_sweep_smooths_fewer_than_one_sixteenth_as_often_as_there_are_masks(monkeypatch):
+    """A regression guard: at c = 12 the state sum and the sum over a Tait
+    graph each call smooth fewer than 2^c / 16 times, where the flat walk
+    calls it 2^(c+1) - 2 times."""
     (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=12, c_hi=12)
     g_a = tait_graphs(d, checkerboard(d)).g_a
-    walk, leaves = slinv.ribbon._walk, []
+    smooth, calls = slinv.ribbon.smooth, []
 
-    def counted(state, e, key):
-        steps, _, last, _ = state
-        if e == last:
-            leaves.extend(steps[e])
-        walk(state, e, key)
+    def counted(*args):
+        calls.append(args)
+        return smooth(*args)
 
-    monkeypatch.setattr(slinv.ribbon, "_walk", counted)
+    monkeypatch.setattr(slinv.ribbon, "smooth", counted)
     for tally_of in (lambda: state_tally(d), lambda: subgraph_tally(g_a)):
-        leaves.clear()
+        calls.clear()
         assert sum(tally_of().values()) == 1 << 12
-        assert 0 < len(leaves) < (1 << 12) // 2
+        assert 0 < len(calls) < (1 << 12) // 16
