@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -75,11 +75,14 @@ def _cap(args) -> int:
     return cap
 
 
-def _emit(args, obj: dict, text: str) -> None:
+def _emit(args, obj, text) -> None:
+    """Print `obj` as JSON under --json, else `text`.  Either may instead be
+    a function of no arguments that builds it, called only to print it, so
+    that a command renders nothing it does not print."""
     if getattr(args, "json", False):
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj() if callable(obj) else obj, indent=2))
     else:
-        print(text)
+        print(text() if callable(text) else text)
 
 
 def _verdict_lines(verdicts) -> list[str]:
@@ -102,32 +105,41 @@ def _map_verdicts(a: MapAnalysis) -> list[Verdict]:
     return rows
 
 
-def _map_report(m: CombinatorialMap, cap: int) -> tuple[dict, str]:
+def _map_report(m: CombinatorialMap, cap: int):
+    """The --json object and the text of one map's report, as two functions
+    of no arguments for _emit: the analysis and verdicts are computed now,
+    and each is rendered only when called."""
     a = MapAnalysis(m, cap)
     p, P, data = a.p, a.P, a.reduced
     rows = _map_verdicts(a)
-    obj = {
-        "vertices": m.V,
-        "edges": m.E,
-        "faces": m.F,
-        "genus": m.genus,
-        "p": {"text": p.to_text(), "terms": p.to_json()},
-        "P": {"text": P.to_text(), "terms": P.to_json()},
-        "reduced": data.to_json(),
-        "verdicts": [v.to_json() for v in rows],
-    }
-    lines = [
-        f"map: {m.V} vertices, {m.E} edges, {m.F} faces, genus {m.genus}",
-        f"p = {p.to_text()}",
-        f"P = {P.to_text()}",
-        f"reduced graph: lambda={data.lam} mu={data.mu} gamma={data.gamma}"
-        f" trivial-loops-deleted={data.trivial_loops_deleted}"
-        f" kept-edges={list(data.kept_edges)}"
-        + (" (3-petal loops present)" if data.has_3petal else ""),
-        "verdicts:",
-        *_verdict_lines(rows),
-    ]
-    return obj, "\n".join(lines)
+
+    def obj() -> dict:
+        return {
+            "vertices": m.V,
+            "edges": m.E,
+            "faces": m.F,
+            "genus": m.genus,
+            "p": {"text": p.to_text(), "terms": p.to_json()},
+            "P": {"text": P.to_text(), "terms": P.to_json()},
+            "reduced": data.to_json(),
+            "verdicts": [v.to_json() for v in rows],
+        }
+
+    def text() -> str:
+        lines = [
+            f"map: {m.V} vertices, {m.E} edges, {m.F} faces, genus {m.genus}",
+            f"p = {p.to_text()}",
+            f"P = {P.to_text()}",
+            f"reduced graph: lambda={data.lam} mu={data.mu} gamma={data.gamma}"
+            f" trivial-loops-deleted={data.trivial_loops_deleted}"
+            f" kept-edges={list(data.kept_edges)}"
+            + (" (3-petal loops present)" if data.has_3petal else ""),
+            "verdicts:",
+            *_verdict_lines(rows),
+        ]
+        return "\n".join(lines)
+
+    return obj, text
 
 
 # -- diagram reporting ------------------------------------------------------------
@@ -184,11 +196,10 @@ def cmd_invariants(args) -> int:
     loaded = _load_any(args.path, args)
     cap = _cap(args)
     if isinstance(loaded, CombinatorialMap):
-        obj, text = _map_report(loaded, cap)
-        _emit(args, obj, text)
+        _emit(args, *_map_report(loaded, cap))
         return 0
     report = full_report(loaded, cap)
-    _emit(args, report.to_json(), _report_text(report))
+    _emit(args, report.to_json, partial(_report_text, report))
     return 0
 
 
@@ -261,30 +272,37 @@ def cmd_states(args) -> int:
                 [[e, str(coeff)] for e, coeff in curve] for curve in states[mask].curves
             ]
         rows.append(row)
-    obj = {
-        "crossings": d.crossings,
-        "writhe": w,
-        "states": rows,
-        "jones_krushkal": None if jk is None else {"text": jk.to_text(), "terms": jk.to_json()},
-    }
-    if jk_note:
-        obj["jones_krushkal_note"] = jk_note
-    lines = [f"{2 ** d.crossings} states (prefactor (-1)^w t^(3w/4), w = {w}):"]
-    for row in rows:
-        lines.append(
-            f"  {row['choice'] or '-':<{max(d.crossings, 1)}}  a={row['a']} b={row['b']}"
-            f" |s|={row['size']} k={row['k']} r={row['r']}"
-            f"  weight {row['weight'] if row['weight'] is not None else '(undefined, k=0)'}"
-        )
-        if args.dump:
-            for curve in row.get("curves", []):
-                rendered = " ".join(f"{coeff}*e{e}" for e, coeff in curve) or "0"
-                lines.append(f"      curve class: {rendered}")
-    if jk is None:
-        lines.append(f"J_K undefined: {jk_note}")
-    else:
-        lines.append(f"J_K = {jk.to_text()}")
-    _emit(args, obj, "\n".join(lines))
+
+    def obj() -> dict:
+        out = {
+            "crossings": d.crossings,
+            "writhe": w,
+            "states": rows,
+            "jones_krushkal": None if jk is None else {"text": jk.to_text(), "terms": jk.to_json()},
+        }
+        if jk_note:
+            out["jones_krushkal_note"] = jk_note
+        return out
+
+    def text() -> str:
+        lines = [f"{2 ** d.crossings} states (prefactor (-1)^w t^(3w/4), w = {w}):"]
+        for row in rows:
+            lines.append(
+                f"  {row['choice'] or '-':<{max(d.crossings, 1)}}  a={row['a']} b={row['b']}"
+                f" |s|={row['size']} k={row['k']} r={row['r']}"
+                f"  weight {row['weight'] if row['weight'] is not None else '(undefined, k=0)'}"
+            )
+            if args.dump:
+                for curve in row.get("curves", []):
+                    rendered = " ".join(f"{coeff}*e{e}" for e, coeff in curve) or "0"
+                    lines.append(f"      curve class: {rendered}")
+        if jk is None:
+            lines.append(f"J_K undefined: {jk_note}")
+        else:
+            lines.append(f"J_K = {jk.to_text()}")
+        return "\n".join(lines)
+
+    _emit(args, obj, text)
     return 0
 
 
@@ -318,8 +336,7 @@ def cmd_bounds(args) -> int:
 def cmd_krushkal(args) -> int:
     m = parse_map(_load_text(args.path))
     cap = _cap(args)
-    obj, text = _map_report(m, cap)
-    _emit(args, obj, text)
+    _emit(args, *_map_report(m, cap))
     return 0
 
 

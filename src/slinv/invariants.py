@@ -46,7 +46,7 @@ from .errors import (
     NotTrivialLoop,
     PreconditionError,
 )
-from .poly import JKPoly, LaurentPoly, add_entry, curve_binomial_terms
+from .poly import JKPoly, LaurentPoly, Terms, add_entry, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
     UndoableUnionFind,
@@ -138,50 +138,100 @@ def _shifted(p: LaurentPoly) -> LaurentPoly:
 # -- Whitney rank polynomial cross-check ------------------------------------------
 
 
-def _reachable(a: int, b: int, edges: list[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {}
-    for t, h in edges:
-        adj.setdefault(t, []).append(h)
-        adj.setdefault(h, []).append(t)
-    stack, seen = [a], {a}
-    while stack:
-        v = stack.pop()
-        if v == b:
-            return True
-        for w in adj.get(v, []):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+def rank_polynomial(edges: list[tuple[int, int]], cache: dict | None = None) -> Terms:
+    """The Whitney rank polynomial R(x, y), the sum over edge sets A of
+    x^(r(E) - r(A)) y^(|A| - r(A)), of the abstract multigraph with the
+    given (tail, head) edges, as terms {(i, j): coefficient of x^i y^j}.
+
+    Deletion-contraction on parallel classes (Haggard-Pearce-Royle, "Computing
+    Tutte polynomials", ACM TOMS 2010): a class of k loops multiplies by
+    (1+y)^k; a bridge class of k edges multiplies the contraction by
+    x + ((1+y)^k - 1)/y; any other class gives the deletion plus
+    ((1+y)^k - 1)/y times the contraction.  Each loopless graph met is
+    cached for the call, in `cache` when one is given, keyed on its classes
+    relabelled by first sight."""
+    loops = 0
+    classes: dict[tuple[int, int], int] = {}
+    for a, b in edges:
+        if a == b:
+            loops += 1
+        else:
+            key = (a, b) if a < b else (b, a)
+            classes[key] = classes.get(key, 0) + 1
+    terms = _rank_terms(_relabelled(classes), {} if cache is None else cache)
+    return _add_product({}, terms, [(0, j, c) for j, c in enumerate(_one_plus_y(loops))])
 
 
-def _whitney_rank(edges: list[tuple[int, int]]) -> LaurentPoly:
-    """Rank polynomial of the abstract multigraph, by deletion-contraction:
-    loops contribute (1+y), bridges (1+x), other edges split."""
-    ring = ("x", "y")
-    if not edges:
-        return LaurentPoly.const(ring, 1)
-    (a, b), rest = edges[0], edges[1:]
-    if a == b:
-        return (LaurentPoly.var(ring, "y") + 1) * _whitney_rank(rest)
-    contracted = [(a if t == b else t, a if h == b else h) for t, h in rest]
-    if not _reachable(a, b, rest):
-        return (LaurentPoly.var(ring, "x") + 1) * _whitney_rank(contracted)
-    return _whitney_rank(rest) + _whitney_rank(contracted)
+def _relabelled(classes: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
+    """The classes {(a, b): k} of a loopless multigraph as a sorted tuple of
+    (a, b, k) with a < b, its vertices numbered in order of first sight."""
+    first: dict[int, int] = {}
+    out = []
+    for (a, b), k in sorted(classes.items()):
+        a, b = first.setdefault(a, len(first)), first.setdefault(b, len(first))
+        out.append((a, b, k) if a < b else (b, a, k))
+    out.sort()
+    return tuple(out)
+
+
+def _one_plus_y(k: int) -> list[int]:
+    """The coefficients of (1+y)^k, from y^0 up."""
+    row = [1]
+    for _ in range(k):
+        row = [c + d for c, d in zip([0, *row], [*row, 0])]
+    return row
+
+
+def _add_product(out: Terms, terms: Terms, factor: list[tuple[int, int, int]]) -> Terms:
+    """out plus terms times the terms (i, j, coefficient) of `factor`, added
+    into out, which it returns.  Rank polynomials have positive coefficients,
+    so no sum cancels, and their exponent pairs add without the tuple
+    arithmetic of poly's product, which took 2.4x the time on W(4,6)."""
+    for (i, j), c in terms.items():
+        for di, dj, d in factor:
+            key = (i + di, j + dj)
+            out[key] = out.get(key, 0) + c * d
+    return out
+
+
+def _rank_terms(graph: tuple[tuple[int, int, int], ...], cache: dict) -> Terms:
+    """rank_polynomial of a loopless multigraph given as _relabelled classes:
+    delete or contract its first class (a, b, k), which holds every edge
+    joining a to b, so that contracting it makes no loop."""
+    if not graph:
+        return {(0, 0): 1}
+    terms = cache.get(graph)
+    if terms is not None:
+        return terms
+    (a, b, k), rest = graph[0], graph[1:]
+    merged: dict[tuple[int, int], int] = {}
+    forest = UndoableUnionFind(1 + max(v for _, v, _ in graph))
+    for u, v, j in rest:
+        forest.union(u, v)
+        u, v = (a if u == b else u), (a if v == b else v)
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0) + j
+    # ((1+y)^k - 1)/y
+    spread = [(0, j - 1, c) for j, c in enumerate(_one_plus_y(k)) if j]
+    if forest.find(a) == forest.find(b):
+        terms = dict(_rank_terms(_relabelled({(u, v): j for u, v, j in rest}), cache))
+    else:
+        terms = {}
+        spread.append((1, 0, 1))
+    terms = _add_product(terms, _rank_terms(_relabelled(merged), cache), spread)
+    cache[graph] = terms
+    return terms
 
 
 def tutte_check(a: MapAnalysis) -> bool:
     """Whether y^g * p_G(x, y, y, 1/y) equals the Whitney rank polynomial of
-    the underlying abstract graph, the latter computed by deletion-contraction."""
+    the underlying abstract graph, which rank_polynomial computes from the
+    edges' endpoints alone."""
     m = a.map
-    ring = ("x", "y")
-    x = LaurentPoly.var(ring, "x")
-    y = LaurentPoly.var(ring, "y")
-    y_inv = LaurentPoly(ring, {(0, -1): 1})
-    specialized = LaurentPoly.term(ring, 1, (0, m.genus)) * a.p.substitute(
-        {"x": x, "y": y, "u": y, "v": y_inv}
-    )
-    return specialized == _whitney_rank([m.endpoints(e) for e in m.edge_ids])
+    specialized: Terms = {}
+    for (i, j, u, v), coeff in a.p.terms.items():
+        add_entry(specialized, (i, j + u - v + m.genus), coeff)
+    return specialized == rank_polynomial([m.endpoints(e) for e in m.edge_ids])
 
 
 def loop_deletion_check(a: MapAnalysis, e: int) -> bool:

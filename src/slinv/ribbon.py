@@ -702,9 +702,9 @@ def _sweep(choices: Sequence, ends: list[int], weights: tuple, units: list[int],
 
 
 def edge_kernels(m: CombinatorialMap) -> list[int]:
-    """k({e}) of every edge e: 1 on a homologically trivial loop, else 0
-    (b1({e}) is 1 only on a loop)."""
-    return [subgraph_numbers(m, (e,))[4] for e in m.edge_ids]
+    """k({e}) of every edge e: 1 on a homologically trivial loop, else 0.
+    Only loops are counted: a lone non-loop has b1 = 0, so k = 0."""
+    return [subgraph_numbers(m, (e,))[4] if m.is_loop(e) else 0 for e in m.edge_ids]
 
 
 def trivial_loops(m: CombinatorialMap, k: Sequence[int]) -> list[int]:
@@ -717,9 +717,20 @@ def parallel_pairs(m: CombinatorialMap, k: Sequence[int]) -> frozenset[tuple[int
     """The pairs e < f of parallel edges: k({e}) = k({f}) and k({e, f}) >= 1,
     given its edge_kernels `k`.  Dependent loop classes agree up to sign:
     the nonzero class of a simple closed curve is primitive (Farb-Margalit,
-    Primer on MCGs, 2012, ch. 6)."""
+    Primer on MCGs, 2012, ch. 6).
+
+    Only two loops, or two non-loops with the same ends, are counted.  Any
+    other pair spans a forest plus at most one loop, so k({e, f}) = k of
+    that loop, which is 0 whenever it equals k of the non-loop.  Two loops
+    at different vertices stay candidates: disjoint curves can be
+    homologous."""
+    groups: dict[tuple[int, int] | None, list[int]] = {}
+    for e in m.edge_ids:
+        t, h = m.endpoints(e)
+        groups.setdefault(None if t == h else (min(t, h), max(t, h)), []).append(e)
     return frozenset(
         (e, f)
-        for e, f in itertools.combinations(m.edge_ids, 2)
+        for group in groups.values()
+        for e, f in itertools.combinations(group, 2)
         if k[e] == k[f] and subgraph_numbers(m, (e, f))[4] >= 1
     )

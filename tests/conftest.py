@@ -140,6 +140,30 @@ def sample_ribbon_maps(seed: int, count: int, genera=(1, 2), e_max: int = 8):
     return out
 
 
+def square_lattice_edges(p: int, q: int) -> list[tuple[int, int]]:
+    """The edges of the 4-valent diagonal lattice on Z_p x Z_q, whose medial
+    diagram is the square weave W(p, q): vertices (i, j) with i + j even,
+    numbered in row order, each joined to (i + 1, j + 1) and (i + 1, j - 1)."""
+    number = {}
+    for i in range(p):
+        for j in range(q):
+            if (i + j) % 2 == 0:
+                number[i, j] = len(number)
+    return [(number[i, j], number[(i + 1) % p, (j + s) % q]) for i, j in number for s in (1, -1)]
+
+
+# two meridian loops at different vertices of a torus, joined by two edges
+# that run once around it: the loops are disjoint, homologous and parallel
+TWO_MERIDIANS_RG = """format rg 1
+vertex 0 0 4 3 5
+vertex 1 2 6 1 7
+edge 0 0 1
+edge 1 2 3
+edge 2 4 5
+edge 3 6 7
+"""
+
+
 # -- fixtures ---------------------------------------------------------------------
 
 

@@ -1,10 +1,14 @@
-"""Time the two 2^n tallies and count their smooths.
+"""Time the two 2^n tallies and count their smooths, and time the Tutte oracle.
 
 For seeded torus diagrams at c = 8..14 (the state sum, and the subgraph sum
 over the shaded Tait graph) and seeded genus 1-3 maps at E = 8..12, print
 one line per input: the best time of state_tally or subgraph_tally, 2^n,
 and the number of calls to ribbon.smooth in one tally, read by wrapping it.
 A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item.
+Then one line per Tait graph and map: the best time of tutte_check, its
+p_G summed beforehand, and the number of graphs its rank polynomial caches;
+and the same for the rank polynomial alone of the lattices under the square
+weaves W(4,4) and W(4,6).
 
     PYTHONPATH=src python tests/kernel_timing.py [--count 3] [--reps 5] [--json FILE]
 """
@@ -19,9 +23,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import slinv.ribbon  # noqa: E402
-from slinv import checkerboard, state_tally, subgraph_tally, tait_graphs  # noqa: E402
+from slinv import MapAnalysis, checkerboard, state_tally, subgraph_tally, tait_graphs, tutte_check  # noqa: E402
+from slinv.invariants import rank_polynomial  # noqa: E402
 
-from conftest import random_ribbon_map, sample_torus_diagrams  # noqa: E402
+from conftest import random_ribbon_map, sample_torus_diagrams, square_lattice_edges  # noqa: E402
 
 
 def sample_maps(seed: int, count: int, edges: int) -> list:
@@ -68,15 +73,17 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="FILE", help="also write the lines as JSON")
     args = parser.parse_args(argv)
 
-    cases = []
+    cases, graphs = [], []
     for c in range(8, 15, 2):
         for i, d in enumerate(sample_torus_diagrams(args.seed, args.count, c, c)):
             g_a = tait_graphs(d, checkerboard(d)).g_a
             cases.append((f"state sum c={c} #{i}", c, lambda d=d: state_tally(d)))
             cases.append((f"Tait graph E={c} #{i}", c, lambda g=g_a: subgraph_tally(g)))
+            graphs.append((f"Tait graph E={c} #{i}", g_a))
     for edges in (8, 10, 12):
         for i, m in enumerate(sample_maps(args.seed, args.count, edges)):
             cases.append((f"map E={edges} g={m.genus} #{i}", edges, lambda m=m: subgraph_tally(m)))
+            graphs.append((f"map E={edges} g={m.genus} #{i}", m))
 
     lines = []
     for name, n, tally_of in cases:
@@ -84,6 +91,22 @@ def main(argv=None) -> int:
         seconds = best_time(tally_of, args.reps)
         lines.append({"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "smooths": smooths})
         print(f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} smooths={smooths}")
+
+    oracles = []
+    for name, m in graphs:
+        analysis = MapAnalysis(m)
+        analysis.p  # summed once, outside the timed check
+        edges = [m.endpoints(e) for e in m.edge_ids]
+        oracles.append((f"tutte_check {name}", edges, lambda a=analysis: tutte_check(a)))
+    for p, q in ((4, 4), (4, 6)):
+        edges = square_lattice_edges(p, q)
+        oracles.append((f"rank polynomial W({p},{q})", edges, lambda e=edges: rank_polynomial(e)))
+    for name, edges, check in oracles:
+        cache = {}
+        rank_polynomial(edges, cache)
+        seconds = best_time(check, args.reps)
+        lines.append({"input": name, "n": len(edges), "ms": seconds * 1e3, "cache": len(cache)})
+        print(f"{name:<36} {seconds * 1e3:8.3f} ms  cache={len(cache)}")
     if args.json:
         Path(args.json).write_text(json.dumps(lines, indent=1) + "\n")
     return 0

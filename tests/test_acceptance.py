@@ -30,9 +30,9 @@ from slinv import (
     verify_subgraph_count,
     volume_bounds,
 )
-from slinv.invariants import BIG_VARS
+from slinv.invariants import BIG_VARS, rank_polynomial
 
-from conftest import sample_ribbon_maps, sample_torus_diagrams
+from conftest import sample_ribbon_maps, sample_torus_diagrams, square_lattice_edges
 
 
 def report_data_tuple(r):
@@ -190,3 +190,17 @@ def test_subgraph_identities_exhaustive_on_corpus_maps(study_maps):
     elapsed = time.monotonic() - start
     assert profiles >= 2 ** 8  # the diagram maps alone contribute 256-subset sweeps
     assert elapsed < 60, f"exhaustive sweep took {elapsed:.2f}s"
+
+
+def test_tutte_oracle_on_the_square_weave_lattices():
+    """The rank polynomial of the lattices under W(4,4) and W(4,6), best of
+    three runs each, within 0.01 s and 0.5 s."""
+    for (p, q), budget in (((4, 4), 0.01), ((4, 6), 0.5)):
+        edges = square_lattice_edges(p, q)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            terms = rank_polynomial(edges)
+            best = min(best, time.perf_counter() - start)
+        assert sum(terms.values()) == 2 ** len(edges)
+        assert best < budget, f"W({p},{q}) rank polynomial took {best:.3f}s"

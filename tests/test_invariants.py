@@ -36,6 +36,7 @@ from slinv import (
     krushkal,
     loop_deletion_check,
     parse_diagram,
+    parse_map,
     reduce,
     reduced_flags,
     state_numbers,
@@ -55,7 +56,7 @@ from slinv import (
 from slinv.cli import main
 from slinv.invariants import BIG_VARS, P_VARS, _state_sum
 
-from conftest import corpus_text, sample_torus_diagrams
+from conftest import TWO_MERIDIANS_RG, corpus_text, sample_torus_diagrams
 
 T_RING, T_SCALE = ("t",), (4,)
 STACKED_LOOPS = CombinatorialMap([(0, 1, 2, 3)], [(0, 1), (2, 3)])
@@ -461,7 +462,8 @@ def test_each_report_decides_each_crossing_pair_once(monkeypatch):
     """reduce and the twist number read one set of parallel pairs per Tait
     graph, and the flags, reduce and the loop-deletion verdict one list of
     trivial loops: one `parallel_pairs` and one `trivial_loops` call on each,
-    both derived from one k({e}) per edge."""
+    both derived from one k({e}) per loop edge, and none per non-loop, whose
+    k({e}) is 0 without counting."""
     import slinv.ribbon
 
     lines = [f"arc {a} {ends}" for a, ends in enumerate(REDUCED_C10_ARCS)]
@@ -475,8 +477,16 @@ def test_each_report_decides_each_crossing_pair_once(monkeypatch):
         per_map = Counter(args[0] for args in calls)
         assert len(per_map) == 2
         assert set(per_map.values()) == {1}
-    single_edge = Counter(m for m, edges in numbers if len(edges) == 1)
-    assert [(m.E, n) for m, n in single_edge.items()] == [(10, 10), (10, 10)]
+    single_edge = Counter((m, edges[0]) for m, edges in numbers if len(edges) == 1)
+    for m in {args[0] for args in pairs}:
+        loops = {(m, e): 1 for e in m.edge_ids if m.is_loop(e)}
+        assert {key: n for key, n in single_edge.items() if key[0] == m} == loops
+    assert sum(single_edge.values()) == 0  # neither Tait graph has a loop
+
+    numbers.clear()
+    two_meridians = MapAnalysis(parse_map(TWO_MERIDIANS_RG))
+    assert two_meridians.parallel_pairs == {(2, 3)}
+    assert Counter(edges for _, edges in numbers if len(edges) == 1) == {(2,): 1, (3,): 1}
 
 
 def test_the_sums_build_no_fractions():

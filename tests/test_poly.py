@@ -93,6 +93,19 @@ def test_evaluation_is_a_ring_homomorphism():
         assert (p * q).evaluate(at) == p.evaluate(at) * q.evaluate(at)
 
 
+def test_evaluation_at_ints_equals_evaluation_at_fractions():
+    """Terms with no negative exponent evaluate in int at int values, the
+    rest as before; the value and its Fraction type do not depend on it."""
+    rng = random.Random(2025)
+    for _ in range(25):
+        p = random_poly(rng)
+        ints = {"x": rng.randint(-5, 5) or 1, "y": rng.randint(-5, 5) or 2}
+        value = p.evaluate(ints)
+        assert type(value) is Fraction
+        assert value == p.evaluate({name: Fraction(v) for name, v in ints.items()})
+    assert type(LaurentPoly.zero(("x",)).evaluate({})) is Fraction
+
+
 def test_scaled_variables_evaluate_via_their_root():
     # stored exponent 2 at scale 4 means t^(1/2); the value binds the root t^(1/4)
     half_power = LaurentPoly(("t",), {(2,): 1}, (4,))

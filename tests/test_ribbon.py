@@ -42,7 +42,14 @@ from slinv import (
 )
 from slinv.ribbon import edge_kernels, parallel_pairs, trivial_loops
 
-from conftest import RG_NAMES, corpus_text, sample_ribbon_maps, sample_torus_diagrams
+from conftest import (
+    RG_NAMES,
+    TWO_MERIDIANS_RG,
+    corpus_text,
+    random_ribbon_map,
+    sample_ribbon_maps,
+    sample_torus_diagrams,
+)
 
 
 @pytest.fixture(scope="session")
@@ -229,6 +236,46 @@ def test_parallel_known_cases(maps):
     assert stacked.genus == 0
     ctx = HomologyContext(stacked)
     assert parallel(0, 1, ctx)  # two null-homologous loops
+
+
+def _pairwise_parallel_pairs(m, k):
+    """The parallel pairs by their definition, deciding every pair of edges."""
+    return {
+        (e, f)
+        for e, f in itertools.combinations(m.edge_ids, 2)
+        if k[e] == k[f] and subgraph_numbers(m, (e, f))[4] >= 1
+    }
+
+
+def test_parallel_pairs_keep_disjoint_homologous_loops():
+    m = parse_map(TWO_MERIDIANS_RG)
+    assert [m.endpoints(e) for e in m.edge_ids] == [(0, 1), (1, 0), (0, 0), (1, 1)]
+    k = edge_kernels(m)
+    assert k == [0, 0, 0, 0]
+    # the two loops sit at different vertices; the two non-loops with the
+    # same ends run around the torus, so they are not parallel
+    assert parallel_pairs(m, k) == _pairwise_parallel_pairs(m, k) == {(2, 3)}
+
+
+def test_parallel_pairs_and_kernels_equal_their_definitions(study_maps):
+    """The single-edge kernels counted on loops only, and the parallel pairs
+    decided only among loops and among non-loops with the same ends, equal
+    the per-edge and pairwise definitions: on the corpus maps, seeded maps
+    of genus 0-3 with up to 10 edges, and both Tait graphs of seeded torus
+    diagrams."""
+    rng = random.Random(1080)
+    graphs = list(study_maps.values())
+    while len(graphs) < len(study_maps) + 60:
+        m = random_ribbon_map(rng, v_max=rng.choice((1, 2, 4)), e_max=10)
+        if m is not None and m.genus <= 3:
+            graphs.append(m)
+    for d in sample_torus_diagrams(seed=1080, count=10, c_lo=6, c_hi=10):
+        pair = tait_graphs(d, checkerboard(d))
+        graphs += [pair.g_a, pair.g_b]
+    for m in graphs:
+        k = edge_kernels(m)
+        assert k == [subgraph_numbers(m, (e,))[4] for e in m.edge_ids]
+        assert parallel_pairs(m, k) == _pairwise_parallel_pairs(m, k)
 
 
 def test_loop_classes_and_guards(maps):

@@ -126,6 +126,30 @@ def test_verifiers_take_their_analysis():
     assert found == []
 
 
+def test_the_tutte_oracle_is_its_own_route():
+    """The rank polynomial by class recursion replaced the edge-at-a-time
+    deletion-contraction, and nothing it calls names a subgraph walk or a
+    face, so that tutte_specialization compares two independent routes."""
+    functions = _functions(ast.parse((PACKAGE / "invariants.py").read_text()))
+    assert not {"_whitney_rank", "_reachable"} & set(functions)
+    oracle, todo = set(), ["rank_polynomial"]
+    while todo:
+        name = todo.pop()
+        if name not in oracle:
+            oracle.add(name)
+            todo.extend(n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name) and n.id in functions)
+    assert {"rank_polynomial", "_rank_terms", "_relabelled"} <= oracle
+    walk = {"walk_choices", "walk_subgraphs", "_sweep", "subgraph_tally", "subgraph_rows", "krushkal", "faces", "face_of"}
+    found = sorted(
+        f"{name} names {named}"
+        for name in oracle
+        for node in ast.walk(functions[name])
+        for named in (getattr(node, "id", None), getattr(node, "attr", None))
+        if named in walk
+    )
+    assert found == []
+
+
 def _module_names(tree: ast.Module):
     """(line, name) of each name bound at the top level of `tree`."""
     for top in tree.body:
