@@ -76,13 +76,13 @@ def _cap(args) -> int:
 
 
 def _emit(args, obj, text) -> None:
-    """Print `obj` as JSON under --json, else `text`.  Either may instead be
-    a function of no arguments that builds it, called only to print it, so
-    that a command renders nothing it does not print."""
+    """Print obj() as JSON under --json, else text(): each is a function of
+    no arguments, called only to print it, so that a command renders nothing
+    it does not print."""
     if getattr(args, "json", False):
-        print(json.dumps(obj() if callable(obj) else obj, indent=2))
+        print(json.dumps(obj(), indent=2))
     else:
-        print(text() if callable(text) else text)
+        print(text())
 
 
 def _verdict_lines(verdicts) -> list[str]:
@@ -223,8 +223,11 @@ def cmd_verify(args) -> int:
                 f" available: {sorted({base(v.name) for v in rows})}"
             )
         rows = [v for v in rows if base(v.name) in wanted]
-    obj = {"verdicts": [v.to_json() for v in rows]}
-    _emit(args, obj, "\n".join(_verdict_lines(rows)).lstrip("\n") or "(no verdicts)")
+    _emit(
+        args,
+        lambda: {"verdicts": [v.to_json() for v in rows]},
+        lambda: "\n".join(_verdict_lines(rows)).lstrip("\n") or "(no verdicts)",
+    )
     return 0
 
 
@@ -329,7 +332,7 @@ def cmd_bounds(args) -> int:
     ]
     if note:
         lines.append(f"note: {note}")
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, lambda: obj, lambda: "\n".join(lines))
     return 0
 
 

@@ -138,7 +138,7 @@ def _shifted(p: LaurentPoly) -> LaurentPoly:
 # -- Whitney rank polynomial cross-check ------------------------------------------
 
 
-def rank_polynomial(edges: list[tuple[int, int]], cache: dict | None = None) -> Terms:
+def rank_polynomial(edges: list[tuple[int, int]]) -> Terms:
     """The Whitney rank polynomial R(x, y), the sum over edge sets A of
     x^(r(E) - r(A)) y^(|A| - r(A)), of the abstract multigraph with the
     given (tail, head) edges, as terms {(i, j): coefficient of x^i y^j}.
@@ -148,8 +148,7 @@ def rank_polynomial(edges: list[tuple[int, int]], cache: dict | None = None) -> 
     (1+y)^k; a bridge class of k edges multiplies the contraction by
     x + ((1+y)^k - 1)/y; any other class gives the deletion plus
     ((1+y)^k - 1)/y times the contraction.  Each loopless graph met is
-    cached for the call, in `cache` when one is given, keyed on its classes
-    relabelled by first sight."""
+    cached for the call, keyed on its classes relabelled by first sight."""
     loops = 0
     classes: dict[tuple[int, int], int] = {}
     for a, b in edges:
@@ -158,7 +157,7 @@ def rank_polynomial(edges: list[tuple[int, int]], cache: dict | None = None) -> 
         else:
             key = (a, b) if a < b else (b, a)
             classes[key] = classes.get(key, 0) + 1
-    terms = _rank_terms(_relabelled(classes), {} if cache is None else cache)
+    terms = _rank_terms(_relabelled(classes), {})
     return _add_product({}, terms, [(0, j, c) for j, c in enumerate(_one_plus_y(loops))])
 
 

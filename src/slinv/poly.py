@@ -233,22 +233,16 @@ class LaurentPoly:
 
     def evaluate(self, values: Mapping[str, int | Fraction]) -> Fraction:
         """Exact evaluation; scaled variables take the value of the scaled root
-        (a scale-2 variable t evaluates t^(n/2) as values['t']**n).  At int
-        values, the terms with no negative exponent are summed in int."""
-        points = [values[name] for name in self.variables] if self.terms else []
-        whole = all(isinstance(p, int) for p in points)
-        total, fractions = 0, Fraction(0)
+        (a scale-2 variable t evaluates t^(n/2) as values['t']**n).  Int
+        values to non-negative powers stay int until the one Fraction of the
+        total."""
+        total = 0
         for exps, coeff in self.terms.items():
-            if whole and min(exps, default=0) >= 0:
-                for p, e in zip(points, exps):
-                    coeff *= p**e
-                total += coeff
-            else:
-                prod = Fraction(coeff)
-                for p, e in zip(points, exps):
-                    prod *= Fraction(p) ** e
-                fractions += prod
-        return fractions + total
+            for name, e in zip(self.variables, exps):
+                p = values[name]
+                coeff *= p**e if e >= 0 else Fraction(p) ** e
+            total += coeff
+        return Fraction(total)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)

@@ -20,6 +20,7 @@ from slinv import (
     reduced_flags,
     tait_graphs,
 )
+from slinv import invariants
 
 SLD_NAMES = (
     "figure8.sld",
@@ -150,6 +151,25 @@ def square_lattice_edges(p: int, q: int) -> list[tuple[int, int]]:
             if (i + j) % 2 == 0:
                 number[i, j] = len(number)
     return [(number[i, j], number[(i + 1) % p, (j + s) % q]) for i, j in number for s in (1, -1)]
+
+
+def rank_cache_size(edges: list[tuple[int, int]]) -> int:
+    """The number of graphs one rank_polynomial(edges) call caches, read off
+    the dict handed to invariants._rank_terms, which its recursion reaches
+    through the module, by wrapping it for the call."""
+    rank_terms, caches = invariants._rank_terms, {}
+
+    def kept(graph, cache):
+        caches[id(cache)] = cache
+        return rank_terms(graph, cache)
+
+    invariants._rank_terms = kept
+    try:
+        invariants.rank_polynomial(edges)
+    finally:
+        invariants._rank_terms = rank_terms
+    (cache,) = caches.values()
+    return len(cache)
 
 
 # two meridian loops at different vertices of a torus, joined by two edges
