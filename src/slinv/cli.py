@@ -442,9 +442,6 @@ def main(argv=None) -> int:
     except (InputError, NonIntegerGenus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SlinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,18 +90,10 @@ class Coloring:
 
 @dataclass(frozen=True)
 class TaitPair:
-    """The dual Tait graphs.  Edge id == crossing id in both graphs.
-
-    shaded_leading[i] is the slot j in {0, 1} such that the shaded corners
-    of crossing i are the ones led by slots j and j+2 (a corner between
-    slots s and s+1 is "led by" s); the unshaded corners are led by 1-j
-    and 3-j.
-    """
+    """The dual Tait graphs.  Edge id == crossing id in both graphs."""
 
     g_a: CombinatorialMap
     g_b: CombinatorialMap
-    coloring: Coloring
-    shaded_leading: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -359,6 +351,8 @@ def tait_graphs(d: SurfaceLinkDiagram, coloring: Coloring) -> TaitPair:
     one edge per crossing joining its two same-color corners, with rotations
     read off the face walks."""
     m = d.cmap
+    # shaded_leading[i] = j in {0, 1}: slots j and j+2 lead crossing i's shaded
+    # corners, 1-j and 3-j its unshaded ones (slot s leads the corner s, s+1)
     shaded_leading = []
     for cr in range(d.crossings):
         # corner led by slot j belongs to the face of slot j+1
@@ -379,7 +373,7 @@ def tait_graphs(d: SurfaceLinkDiagram, coloring: Coloring) -> TaitPair:
 
     g_a = build(coloring.shaded, shaded_leading)
     g_b = build(coloring.unshaded, tuple(1 - j for j in shaded_leading))
-    return TaitPair(g_a, g_b, coloring, shaded_leading)
+    return TaitPair(g_a, g_b)
 
 
 def reduced_flags(d: SurfaceLinkDiagram) -> ReducedFlags:

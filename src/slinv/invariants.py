@@ -21,6 +21,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .diagram import (
     DEFAULT_CAP,
@@ -127,12 +128,15 @@ def big_P(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
 
 
 def _shifted(p: LaurentPoly) -> LaurentPoly:
-    """P from p: substitute x = X-1, y = Y-1, u = U, v = V."""
-    x = LaurentPoly.var(BIG_VARS, "X") - 1
-    y = LaurentPoly.var(BIG_VARS, "Y") - 1
-    u = LaurentPoly.var(BIG_VARS, "U")
-    v = LaurentPoly.var(BIG_VARS, "V")
-    return p.substitute({"x": x, "y": y, "u": u, "v": v})
+    """P from p by the binomial theorem: c x^i y^j u^k v^l adds
+    (-1)^(i-a+j-b) C(i,a) C(j,b) c at X^a Y^b U^k V^l (krushkal's i, j >= 0)."""
+    terms: Terms = {}
+    for (i, j, u, v), coeff in p.terms.items():
+        for a in range(i + 1):
+            row = (-1) ** (i - a) * comb(i, a) * coeff
+            for b in range(j + 1):
+                add_entry(terms, (a, b, u, v), (-1) ** (j - b) * comb(j, b) * row)
+    return LaurentPoly(BIG_VARS, terms)
 
 
 # -- Whitney rank polynomial cross-check ------------------------------------------
@@ -158,7 +162,7 @@ def rank_polynomial(edges: list[tuple[int, int]]) -> Terms:
             key = (a, b) if a < b else (b, a)
             classes[key] = classes.get(key, 0) + 1
     terms = _rank_terms(_relabelled(classes), {})
-    return _add_product({}, terms, [(0, j, c) for j, c in enumerate(_one_plus_y(loops))])
+    return _add_product({}, terms, [(0, j, comb(loops, j)) for j in range(loops + 1)])
 
 
 def _relabelled(classes: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
@@ -171,14 +175,6 @@ def _relabelled(classes: dict[tuple[int, int], int]) -> tuple[tuple[int, int, in
         out.append((a, b, k) if a < b else (b, a, k))
     out.sort()
     return tuple(out)
-
-
-def _one_plus_y(k: int) -> list[int]:
-    """The coefficients of (1+y)^k, from y^0 up."""
-    row = [1]
-    for _ in range(k):
-        row = [c + d for c, d in zip([0, *row], [*row, 0])]
-    return row
 
 
 def _add_product(out: Terms, terms: Terms, factor: list[tuple[int, int, int]]) -> Terms:
@@ -211,7 +207,7 @@ def _rank_terms(graph: tuple[tuple[int, int, int], ...], cache: dict) -> Terms:
         key = (u, v) if u < v else (v, u)
         merged[key] = merged.get(key, 0) + j
     # ((1+y)^k - 1)/y
-    spread = [(0, j - 1, c) for j, c in enumerate(_one_plus_y(k)) if j]
+    spread = [(0, j - 1, comb(k, j)) for j in range(1, k + 1)]
     if forest.find(a) == forest.find(b):
         terms = dict(_rank_terms(_relabelled({(u, v): j for u, v, j in rest}), cache))
     else:
@@ -410,19 +406,15 @@ def jones_krushkal_via_P(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JKPol
 
 def _specialized(d: SurfaceLinkDiagram, n: int, P: LaurentPoly) -> JKPoly:
     """The specialization of jones_krushkal_via_P, given n = |V(G_A)| - 1 and
-    P = P_GA."""
+    P = P_GA: each variable goes to a signed monomial, so each term of P
+    gives one term of J_K."""
     g, c, w = d.genus, d.crossings, writhe(d)
-    ring, scales = ("t", "z"), (4, 1)
-    assignments = {
-        "X": LaurentPoly(ring, {(4, 0): -1}, scales),
-        "Y": LaurentPoly(ring, {(-4, 0): -1}, scales),
-        "U": LaurentPoly(ring, {(-2, -1): 1}, scales),
-        "V": LaurentPoly(ring, {(2, -1): 1}, scales),
-    }
-    prefactor = LaurentPoly.term(
-        ring, 1 if w % 2 == 0 else -1, (3 * w - 2 * g - 2 * n + c, g), scales
-    )
-    return JKPoly.from_laurent(prefactor * P.substitute(assignments))
+    shift = 3 * w - 2 * g - 2 * n + c
+    terms: dict[tuple[int, int], int] = {}
+    for (x, y, u, v), coeff in P.terms.items():
+        sign = -1 if (w + x + y) % 2 else 1
+        add_entry(terms, (shift + 4 * (x - y) + 2 * (v - u), g - u - v), sign * coeff)
+    return JKPoly(terms)
 
 
 jones_specialization = JKPoly.jones_specialization

@@ -225,8 +225,8 @@ class LaurentPoly:
                 raise ValueError(f"unknown variable {name!r}")
         exps = []
         for name, scale in zip(self.variables, self.scales):
-            stored = Fraction(powers.get(name, 0)) * scale
-            if stored.denominator != 1:
+            stored = powers.get(name, 0) * scale
+            if stored != int(stored):
                 return 0
             exps.append(int(stored))
         return self.terms.get(tuple(exps), 0)

@@ -5,6 +5,8 @@ over the shaded Tait graph) and seeded genus 1-3 maps at E = 8..12, print
 one line per input: the best time of state_tally or subgraph_tally, 2^n,
 and the number of calls to ribbon.smooth in one tally, read by wrapping it.
 A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item.
+Each Tait graph and map line also gives the best time of _shifted, which
+expands its p_G into P_G.
 Then one line per Tait graph and map: the best time of tutte_check, its
 p_G summed beforehand, and the number of graphs its rank polynomial caches;
 and the same for the rank polynomial alone of the lattices under the square
@@ -24,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import slinv.ribbon  # noqa: E402
 from slinv import MapAnalysis, checkerboard, state_tally, subgraph_tally, tait_graphs, tutte_check  # noqa: E402
-from slinv.invariants import rank_polynomial  # noqa: E402
+from slinv.invariants import _shifted, rank_polynomial  # noqa: E402
 
 from conftest import rank_cache_size, random_ribbon_map, sample_torus_diagrams, square_lattice_edges  # noqa: E402
 
@@ -73,29 +75,34 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="FILE", help="also write the lines as JSON")
     args = parser.parse_args(argv)
 
-    cases, graphs = [], []
+    # (name, n, tally, map or None): a map's line also times _shifted
+    cases = []
     for c in range(8, 15, 2):
         for i, d in enumerate(sample_torus_diagrams(args.seed, args.count, c, c)):
             g_a = tait_graphs(d, checkerboard(d)).g_a
-            cases.append((f"state sum c={c} #{i}", c, lambda d=d: state_tally(d)))
-            cases.append((f"Tait graph E={c} #{i}", c, lambda g=g_a: subgraph_tally(g)))
-            graphs.append((f"Tait graph E={c} #{i}", g_a))
+            cases.append((f"state sum c={c} #{i}", c, lambda d=d: state_tally(d), None))
+            cases.append((f"Tait graph E={c} #{i}", c, lambda g=g_a: subgraph_tally(g), g_a))
     for edges in (8, 10, 12):
         for i, m in enumerate(sample_maps(args.seed, args.count, edges)):
-            cases.append((f"map E={edges} g={m.genus} #{i}", edges, lambda m=m: subgraph_tally(m)))
-            graphs.append((f"map E={edges} g={m.genus} #{i}", m))
+            cases.append((f"map E={edges} g={m.genus} #{i}", edges, lambda m=m: subgraph_tally(m), m))
 
-    lines = []
-    for name, n, tally_of in cases:
+    lines, analyses = [], []
+    for name, n, tally_of, m in cases:
         smooths = smooth_calls(tally_of)
         seconds = best_time(tally_of, args.reps)
-        lines.append({"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "smooths": smooths})
-        print(f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} smooths={smooths}")
+        line = {"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "smooths": smooths}
+        text = f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} smooths={smooths:<6}"
+        if m is not None:
+            analysis = MapAnalysis(m)
+            analyses.append((name, analysis))
+            line["shifted_ms"] = best_time(lambda p=analysis.p: _shifted(p), args.reps) * 1e3
+            text += f" _shifted {line['shifted_ms']:7.3f} ms"
+        lines.append(line)
+        print(text)
 
     oracles = []
-    for name, m in graphs:
-        analysis = MapAnalysis(m)
-        analysis.p  # summed once, outside the timed check
+    for name, analysis in analyses:
+        m = analysis.map
         edges = [m.endpoints(e) for e in m.edge_ids]
         oracles.append((f"tutte_check {name}", edges, lambda a=analysis: tutte_check(a)))
     for p, q in ((4, 4), (4, 6)):

@@ -54,9 +54,9 @@ from slinv import (
     writhe,
 )
 from slinv.cli import main
-from slinv.invariants import BIG_VARS, P_VARS, _state_sum
+from slinv.invariants import BIG_VARS, P_VARS, _shifted, _specialized, _state_sum
 
-from conftest import TWO_MERIDIANS_RG, corpus_text, sample_torus_diagrams
+from conftest import TWO_MERIDIANS_RG, corpus_text, sample_ribbon_maps, sample_torus_diagrams
 
 T_RING, T_SCALE = ("t",), (4,)
 STACKED_LOOPS = CombinatorialMap([(0, 1, 2, 3)], [(0, 1), (2, 3)])
@@ -302,6 +302,67 @@ def test_state_sum_matches_the_sum_built_in_the_ring(colorable_diagrams):
             expected = expected + n * weight
         expected = JKPoly.term((-1) ** w, 3 * w) * expected
         assert _state_sum(d, tally) == (expected, 0), name
+
+
+@pytest.fixture(scope="module")
+def seeded_torus_diagrams():
+    """Seeded alternating colorable torus diagrams at 3 to 10 crossings."""
+    return sample_torus_diagrams(seed=2031, count=8, c_lo=3, c_hi=8) + sample_torus_diagrams(
+        seed=2032, count=4, c_lo=9, c_hi=10
+    )
+
+
+def test_the_shift_equals_the_substitution(study_maps, seeded_torus_diagrams):
+    """_shifted, which expands (X-1)^i (Y-1)^j by binomials, against
+    p.substitute(x = X-1, y = Y-1, u = U, v = V) on the corpus maps and Tait
+    graphs, seeded maps of genus 0-3 up to 10 edges, and both Tait graphs of
+    seeded torus diagrams up to 10 crossings."""
+    X, Y, U, V = (LaurentPoly.var(BIG_VARS, name) for name in BIG_VARS)
+    randoms = sample_ribbon_maps(seed=2031, count=24, genera=(0, 1, 2, 3), e_max=10)
+    assert {m.genus for m in randoms} == {0, 1, 2, 3} and max(m.E for m in randoms) == 10
+    labelled = list(study_maps.items()) + [(f"map[{i}] E={m.E}", m) for i, m in enumerate(randoms)]
+    for i, d in enumerate(seeded_torus_diagrams):
+        pair = tait_graphs(d, checkerboard(d))
+        tag = f"diagram[{i}] c={d.crossings}"
+        labelled += [(f"{tag} tait_a", pair.g_a), (f"{tag} tait_b", pair.g_b)]
+    for name, m in labelled:
+        p = krushkal(m)
+        assert _shifted(p) == p.substitute({"x": X - 1, "y": Y - 1, "u": U, "v": V}), name
+
+
+def test_the_specialization_equals_the_substitution(colorable_diagrams, seeded_torus_diagrams):
+    """_specialized, which sends each term of P to one term of J_K, against
+    (-1)^w t^((3w-2g-2n+c)/4) z^g times P.substitute(X = -t, Y = -1/t,
+    U = 1/(z sqrt t), V = sqrt t / z) in the (t, z) ring, on every
+    alternating colorable corpus diagram and seeded torus diagrams up to 10
+    crossings; both routes reject a negative z-power."""
+    ring, scales = ("t", "z"), (4, 1)
+    assignments = {
+        "X": LaurentPoly(ring, {(4, 0): -1}, scales),
+        "Y": LaurentPoly(ring, {(-4, 0): -1}, scales),
+        "U": LaurentPoly(ring, {(-2, -1): 1}, scales),
+        "V": LaurentPoly(ring, {(2, -1): 1}, scales),
+    }
+
+    def substituted(d, n, P):
+        g, c, w = d.genus, d.crossings, writhe(d)
+        prefactor = LaurentPoly.term(ring, (-1) ** w, (3 * w - 2 * g - 2 * n + c, g), scales)
+        return JKPoly.from_laurent(prefactor * P.substitute(assignments))
+
+    labelled = [
+        (name, d) for name, d in colorable_diagrams.items() if d.crossings and DiagramAnalysis(d).alternating
+    ]
+    labelled += [(f"diagram[{i}] c={d.crossings}", d) for i, d in enumerate(seeded_torus_diagrams)]
+    assert len(labelled) > len(seeded_torus_diagrams)
+    for name, d in labelled:
+        g_a = DiagramAnalysis(d).tait[0]
+        n = g_a.map.V - 1
+        assert _specialized(d, n, g_a.P) == substituted(d, n, g_a.P), name
+    d = seeded_torus_diagrams[0]
+    too_many_z = LaurentPoly(BIG_VARS, {(0, 0, 1, d.genus): 1})
+    for route in (_specialized, substituted):
+        with pytest.raises(ValueError, match="negative z-power"):
+            route(d, 0, too_many_z)
 
 
 def test_the_state_sum_and_its_jones_specialization_do_no_ring_arithmetic(

@@ -79,8 +79,9 @@ def test_coefficient_lookup_by_name():
     assert p.coefficient_of(U=2) == 0  # absent monomial
     with pytest.raises(ValueError, match="unknown variable 'W'"):
         p.coefficient_of(W=1)  # not in the ring, so no slot to read
-    jk_ring = LaurentPoly(("t",), {(2,): 5}, (4,))
+    jk_ring = LaurentPoly(("t",), {(2,): 5, (-6,): -2}, (4,))
     assert jk_ring.coefficient_of(t=Fraction(1, 2)) == 5
+    assert jk_ring.coefficient_of(t=Fraction(-3, 2)) == -2
     assert jk_ring.coefficient_of(t=Fraction(1, 3)) == 0  # not representable
 
 

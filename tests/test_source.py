@@ -150,6 +150,13 @@ def test_the_tutte_oracle_is_its_own_route():
     assert found == []
 
 
+def test_the_report_path_substitutes_by_term_maps():
+    """P and J_K via P are term maps on int dicts: invariants.py neither
+    calls the ring's general substitution nor keeps a second binomial."""
+    source = (PACKAGE / "invariants.py").read_text()
+    assert [name for name in ("substitute", "_one_plus_y") if name in source] == []
+
+
 def _module_names(tree: ast.Module):
     """(line, name) of each name bound at the top level of `tree`."""
     for top in tree.body:
