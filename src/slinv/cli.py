@@ -28,18 +28,13 @@ from .invariants import (
     DiagramAnalysis,
     InvariantReport,
     MapAnalysis,
-    Verdict,
     _check_crossing_cap,
-    _loop_deletion_verdict,
-    _tutte_verdict,
     _weight,
     full_report,
-    verify_krushkal_coeffs,
-    verify_polynomial_duality,
-    verify_subgraph_count,
+    map_verdicts,
     volume_bounds,
 )
-from .ribbon import CombinatorialMap, parse_map
+from .ribbon import CombinatorialMap, format_lines, parse_map
 
 
 def _load_text(path: str) -> str:
@@ -55,10 +50,13 @@ def _load_diagram(path: str, args) -> SurfaceLinkDiagram:
 
 def _load_any(path: str, args) -> SurfaceLinkDiagram | CombinatorialMap:
     text = _load_text(path)
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
-    if path.endswith(".sld") or first.startswith("format sld"):
+    try:
+        kind = format_lines(text, "sld", "rg")[0]
+    except InputError:
+        kind = None
+    if path.endswith(".sld") or kind == "sld":
         return parse_diagram(text, auto_orient=getattr(args, "auto_orient", False))
-    if path.endswith(".rg") or first.startswith("format rg"):
+    if path.endswith(".rg") or kind == "rg":
         return parse_map(text)
     raise InputError(f"{path}: expected an .sld diagram or .rg map file")
 
@@ -96,22 +94,13 @@ def _verdict_lines(verdicts) -> list[str]:
 # -- map-file (.rg) reporting ---------------------------------------------------
 
 
-def _map_verdicts(a: MapAnalysis) -> list[Verdict]:
-    rows = verify_krushkal_coeffs(a)
-    rows.append(verify_polynomial_duality(a, a.dual))
-    rows.append(verify_subgraph_count(a))
-    rows.append(_tutte_verdict(a))
-    rows.append(_loop_deletion_verdict([("G", a)]))
-    return rows
-
-
 def _map_report(m: CombinatorialMap, cap: int):
     """The --json object and the text of one map's report, as two functions
     of no arguments for _emit: the analysis and verdicts are computed now,
     and each is rendered only when called."""
     a = MapAnalysis(m, cap)
     p, P, data = a.p, a.P, a.reduced
-    rows = _map_verdicts(a)
+    rows = map_verdicts([("G", a, a.dual)])
 
     def obj() -> dict:
         return {
@@ -207,7 +196,8 @@ def cmd_verify(args) -> int:
     loaded = _load_any(args.path, args)
     cap = _cap(args)
     if isinstance(loaded, CombinatorialMap):
-        rows = _map_verdicts(MapAnalysis(loaded, cap))
+        a = MapAnalysis(loaded, cap)
+        rows = map_verdicts([("G", a, a.dual)])
     else:
         rows = list(full_report(loaded, cap).verdicts)
     if args.verifier:

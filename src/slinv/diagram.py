@@ -27,7 +27,7 @@ from .errors import (
     NotCheckerboardColorable,
     NotFourValent,
 )
-from .ribbon import CombinatorialMap, edge_kernels, trivial_loops, walk_choices
+from .ribbon import CombinatorialMap, edge_kernels, format_lines, trivial_loops, walk_choices
 
 End = tuple[int, int]  # (crossing, slot)
 
@@ -132,17 +132,7 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
     n_crossings: int | None = None
     arc_rows: dict[int, tuple[End, End]] = {}
     over_rows: dict[int, str] = {}
-    saw_format = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not saw_format:
-            if parts != ["format", "sld", "1"]:
-                raise InputError(f"expected 'format sld 1' header, got {line!r}")
-            saw_format = True
-            continue
+    for line, parts in format_lines(text, "sld")[1]:
         if parts[0] == "crossings":
             if n_crossings is not None or len(parts) != 2:
                 raise InputError(f"bad crossings line {line!r}")
@@ -171,8 +161,6 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
             over_rows[cr] = parts[2]
         else:
             raise InputError(f"unknown directive {parts[0]!r}")
-    if not saw_format:
-        raise InputError("missing 'format sld 1' header")
     if n_crossings is None:
         raise InputError("missing crossings line")
 
@@ -208,8 +196,8 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
             if (cr, slot) not in occupancy:
                 raise NotFourValent(f"slot {cr}.{slot} unused")
 
+    components = _walk_strands(arcs, occupancy, auto_orient)
     if auto_orient:
-        arcs = _auto_orient(arcs, occupancy)
         occupancy = {}
         for a, (tail, head) in enumerate(arcs):
             occupancy[tail] = (a, 0)
@@ -231,50 +219,30 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
         (4 * tail[0] + tail[1], 4 * head[0] + head[1]) for tail, head in arcs
     ]
     cmap = CombinatorialMap(rotations, pairing, [p[0] for p in pairing])
-
-    components = _trace_components(arcs, occupancy)
     return SurfaceLinkDiagram(n_crossings, tuple(arcs), cmap, components)
 
 
-def _auto_orient(
-    arcs: list[tuple[End, End]], occupancy: dict[End, tuple[int, int]]
-) -> list[tuple[End, End]]:
-    """Redirect arcs so every strand flows consistently, keeping the written
-    direction of the lowest-id arc in each component."""
-    out = list(arcs)
-    done: set[int] = set()
-    for a0 in range(len(arcs)):
-        if a0 in done:
-            continue
-        done.add(a0)
-        cur_head = out[a0][1]
-        while True:
-            cr, slot = cur_head
-            nxt, which = occupancy[(cr, (slot + 2) % 4)]
-            if nxt == a0:
-                break
-            if which == 1:  # its head sits where a tail must be: flip
-                out[nxt] = (out[nxt][1], out[nxt][0])
-            done.add(nxt)
-            cur_head = out[nxt][1]
-    return out
-
-
-def _trace_components(
-    arcs: list[tuple[End, End]] | tuple, occupancy: dict[End, tuple[int, int]]
+def _walk_strands(
+    arcs: list[tuple[End, End]], occupancy: dict[End, tuple[int, int]], auto_orient: bool
 ) -> tuple[tuple[int, ...], ...]:
+    """Each component's arcs in strand order, from its lowest-id arc.  Under
+    auto_orient the walk also redirects, in `arcs`, each arc whose head sits
+    where the strand needs a tail, so the lowest-id arc keeps its written
+    direction; `occupancy` holds the ends as written."""
     comps = []
-    assigned: set[int] = set()
+    seen: set[int] = set()
     for a0 in range(len(arcs)):
-        if a0 in assigned:
+        if a0 in seen:
             continue
         walk = []
         a = a0
-        while a not in assigned:
-            assigned.add(a)
+        while a not in seen:
+            seen.add(a)
             walk.append(a)
             cr, slot = arcs[a][1]
-            a = occupancy[(cr, (slot + 2) % 4)][0]
+            a, which = occupancy[(cr, (slot + 2) % 4)]
+            if auto_orient and which == 1:  # the walk ends at a0's tail, never flipped
+                arcs[a] = (arcs[a][1], arcs[a][0])
         comps.append(tuple(walk))
     return tuple(comps)
 

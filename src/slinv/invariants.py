@@ -792,11 +792,6 @@ def verify_state_kernel(a: DiagramAnalysis) -> Verdict:
     return _verdict("state_kernel", bad == 0, f"{bad} states with k < 1")
 
 
-def _tutte_verdict(a: MapAnalysis) -> Verdict:
-    ok = tutte_check(a)
-    return _verdict("tutte_specialization", ok, "rank polynomial by deletion-contraction")
-
-
 def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
     """Check p_G = (1+y) p_(G-e) on the first homologically trivial loop found."""
     for side, a in graphs:
@@ -805,6 +800,35 @@ def _loop_deletion_verdict(graphs: list[tuple[str, MapAnalysis]]) -> Verdict:
             ok = loop_deletion_check(a, loops[0])
             return _verdict("loop_deletion", ok, f"trivial loop {loops[0]} of {side}")
     return _skipped("loop_deletion", "no homologically trivial loops")
+
+
+def map_verdicts(
+    graphs: list[tuple[str, MapAnalysis | None, MapAnalysis | None]], skip: str = ""
+) -> list[Verdict]:
+    """The verdicts on one map or on a Tait pair, given as (side, analysis,
+    its dual's analysis) per graph: each graph's polynomial duality and three
+    coefficient slots, named name[side] when there are two graphs, then the
+    first graph's subgraph count and Tutte check, and loop deletion.  With
+    `skip`, the analyses may be None and each row is skipped for that reason."""
+    rows: list[Verdict] = []
+    for side, a, dual in graphs:
+        if skip:
+            names = ("polynomial_duality", "mu_coefficient", "lambda_coefficient", "gamma_coefficient")
+            found = [_skipped(name, skip) for name in names]
+        else:
+            found = [verify_polynomial_duality(a, dual), *verify_krushkal_coeffs(a)]
+        if len(graphs) > 1:
+            found = [Verdict(f"{v.name}[{side}]", v.status, v.detail) for v in found]
+        rows += found
+    if skip:
+        names = ("subgraph_count", "tutte_specialization", "loop_deletion")
+        return rows + [_skipped(name, skip) for name in names]
+    first = graphs[0][1]
+    rows.append(verify_subgraph_count(first))
+    ok = tutte_check(first)
+    rows.append(_verdict("tutte_specialization", ok, "rank polynomial by deletion-contraction"))
+    rows.append(_loop_deletion_verdict([(side, a) for side, a, _ in graphs]))
+    return rows
 
 
 # -- volume bounds -----------------------------------------------------------------
@@ -910,7 +934,7 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
     g = d.genus
     has_tait = d.crossings > 0 and a.colorable
 
-    n = N = tait_a = tait_b = p = P = None
+    n = N = tait_a = tait_b = p = P = g_a = g_b = None
     if has_tait:
         g_a, g_b = a.tait
         n, N = g_a.map.V - 1, g_b.map.V - 1
@@ -947,27 +971,8 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
         result, why = _attempt(fn, a)
         verdicts.append(result if result is not None else _skipped(name, why))
 
-    if has_tait:
-        for side, graph, other in (("G_A", g_a, g_b), ("G_B", g_b, g_a)):
-            result = verify_polynomial_duality(graph, other)
-            verdicts.append(Verdict(f"polynomial_duality[{side}]", result.status, result.detail))
-            rows = verify_krushkal_coeffs(graph)
-            verdicts.extend(Verdict(f"{row.name}[{side}]", row.status, row.detail) for row in rows)
-        verdicts.append(verify_subgraph_count(g_a))
-        verdicts.append(_tutte_verdict(g_a))
-        verdicts.append(_loop_deletion_verdict([("G_A", g_a), ("G_B", g_b)]))
-    else:
-        reason = "no Tait graphs (0 crossings or not colorable)"
-        for name in (
-            "polynomial_duality[G_A]",
-            "polynomial_duality[G_B]",
-            "coefficients[G_A]",
-            "coefficients[G_B]",
-            "subgraph_count",
-            "tutte_specialization",
-            "loop_deletion",
-        ):
-            verdicts.append(_skipped(name, reason))
+    no_tait = "" if has_tait else "no Tait graphs (0 crossings or not colorable)"
+    verdicts += map_verdicts([("G_A", g_a, g_b), ("G_B", g_b, g_a)], no_tait)
 
     return InvariantReport(
         crossings=d.crossings,

@@ -278,21 +278,27 @@ class CombinatorialMap:
 dual = CombinatorialMap.dual
 
 
+def format_lines(text: str, *names: str) -> tuple[str, list[tuple[str, list[str]]]]:
+    """(name, lines) of a file in one of the line formats `names` ("sld" for
+    diagrams, "rg" for maps): "#" starts a comment, comments and blank lines
+    are dropped, the first line left must be the header `format <name> 1`,
+    and each line after it is given as (line, its words)."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = [(line, line.split()) for line in stripped if line]
+    expected = " or ".join(f"'format {name} 1'" for name in names)
+    if not lines:
+        raise InputError(f"missing {expected} header")
+    line, parts = lines[0]
+    if parts not in [["format", name, "1"] for name in names]:
+        raise InputError(f"expected {expected} header, got {line!r}")
+    return parts[1], lines[1:]
+
+
 def parse_map(text: str) -> CombinatorialMap:
-    """Parse the "rg v1" line format (see module External Interfaces)."""
+    """Parse the "rg v1" line format: vertex rotations and edge pairings."""
     vert_rows: dict[int, tuple[int, ...]] = {}
     edge_rows: dict[int, tuple[int, int]] = {}
-    saw_format = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not saw_format:
-            if parts != ["format", "rg", "1"]:
-                raise InputError(f"expected 'format rg 1' header, got {line!r}")
-            saw_format = True
-            continue
+    for line, parts in format_lines(text, "rg")[1]:
         if parts[0] == "vertex":
             try:
                 vid = int(parts[1])
@@ -314,8 +320,6 @@ def parse_map(text: str) -> CombinatorialMap:
             edge_rows[eid] = (tail, head)
         else:
             raise InputError(f"unknown directive {parts[0]!r}")
-    if not saw_format:
-        raise InputError("missing 'format rg 1' header")
     if sorted(vert_rows) != list(range(len(vert_rows))):
         raise InputError("vertex ids must be dense 0..V-1")
     if sorted(edge_rows) != list(range(len(edge_rows))):

@@ -153,6 +153,26 @@ def test_invariants_accepts_map_files_too(tmp_path, capsys):
     assert obj["P"]["text"] == "X + Y^2 + Y"
 
 
+@pytest.mark.parametrize("name", ["weave2x2.sld", "torus_bouquet.rg"])
+def test_a_file_of_neither_suffix_is_known_by_its_header(tmp_path, capsys, name):
+    """A comment before the header does not hide it: a .txt copy of a corpus
+    file loads as that file does."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"# a copy of {name}\n{corpus_text(name)}")
+    expected = run(capsys, ["invariants", write_corpus(tmp_path, name)])
+    assert expected[0] == 0
+    assert run(capsys, ["invariants", str(path)]) == expected
+
+
+def test_verify_finds_the_placeholder_rows_by_name(tmp_path, capsys):
+    path = write_corpus(tmp_path, "vk2_1.sld")
+    code, out, err = run(capsys, ["verify", path, "--verifier", "mu_coefficient", "--json"])
+    assert (code, err) == (0, "")
+    verdicts = json.loads(out)["verdicts"]
+    assert [v["name"] for v in verdicts] == ["mu_coefficient[G_A]", "mu_coefficient[G_B]"]
+    assert {v["status"] for v in verdicts} == {"skipped"}
+
+
 def test_corpus_listing(capsys):
     code, out, _ = run(capsys, ["corpus"])
     assert code == 0

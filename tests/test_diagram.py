@@ -1,5 +1,6 @@
 """Diagram parsing, smoothing states, checkerboard structure, Tait graphs."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -264,6 +265,35 @@ def test_auto_orient_keeps_the_lowest_arc_direction():
     repaired = parse_diagram(_flip_arc(original, 0), auto_orient=True)
     assert serialize_diagram(repaired) != original
     assert writhe(repaired) == writhe(parse_diagram(original))
+
+
+def test_auto_orient_repairs_every_component(diagrams):
+    """Reversing seeded subsets of arcs, each component's lowest-id arc kept
+    as written, breaks the parse, and auto_orient restores the diagram, its
+    components and its map, on the corpus (weave2x2 has 4 components) and on
+    random torus diagrams."""
+    rng = random.Random(11)
+    originals = [d for d in diagrams.values() if d.crossings] + sample_torus_diagrams(seed=3, count=20)
+    for d in originals:
+        lowest = {min(comp) for comp in d.components}
+        flipped = sorted(a for a in range(len(d.arcs)) if a not in lowest and rng.random() < 0.5)
+        if not flipped:
+            flipped = [max(set(range(len(d.arcs))) - lowest)]
+        text = serialize_diagram(d)
+        for a in flipped:
+            text = _flip_arc(text, a)
+        with pytest.raises(InconsistentOrientation):
+            parse_diagram(text)
+        repaired = parse_diagram(text, auto_orient=True)
+        assert serialize_diagram(repaired) == serialize_diagram(d)
+        assert repaired.components == d.components
+        assert repaired.cmap == d.cmap
+        for comp in repaired.components:
+            # from the lowest-id arc, each arc's head feeds the next one's tail
+            assert comp[0] == min(comp)
+            for a, b in zip(comp, comp[1:] + comp[:1]):
+                (cr, slot), tail = repaired.arcs[a][1], repaired.arcs[b][0]
+                assert tail == (cr, (slot + 2) % 4)
 
 
 def test_state_enumeration_respects_the_cap(diagrams):

@@ -457,6 +457,19 @@ def test_full_report_on_the_noncolorable_knot(diagrams):
     assert all(v.status == "skipped" for v in report.verdicts)
 
 
+def test_full_report_names_the_same_verdicts_with_or_without_tait_graphs(diagrams):
+    """The placeholder rows of a report without a Tait pair carry the names
+    of the rows they stand for, so `verify --verifier` finds them all."""
+
+    def bases(d):
+        return {v.name.split("[")[0] for v in full_report(d).verdicts}
+
+    unknot = parse_diagram("format sld 1\ncrossings 0\n")
+    assert bases(diagrams["trefoil.sld"]) == bases(diagrams["vk2_1.sld"]) == bases(unknot)
+    names = [v.name for v in full_report(diagrams["vk2_1.sld"]).verdicts]
+    assert names == [v.name for v in full_report(diagrams["trefoil.sld"]).verdicts]
+
+
 def _count_calls(monkeypatch, name: str, original) -> list[tuple]:
     """Wrap `original` wherever a slinv module binds it as `name`; the list
     collects the positional arguments of every call."""

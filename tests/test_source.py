@@ -212,3 +212,24 @@ def test_the_public_list_names_no_fast_submodule():
     assert {"homology", *slinv._ORACLE, "full_report", "DEFAULT_CAP", "CombinatorialMap"} <= set(slinv.__all__)
     assert slinv.__all__ == sorted(set(slinv.__all__))
     assert all(hasattr(slinv, name) for name in slinv.__all__)
+
+
+def test_one_function_reads_the_line_formats():
+    """Both parsers and the CLI's format detection drop comments through one
+    reader: `split("#"` appears in one function of the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and 'split("#"' in ast.get_source_segment(source, node):
+                found.append(f"{path.name}:{node.name}")
+    assert found == ["ribbon.py:format_lines"]
+
+
+def test_the_cli_builds_no_verdict_list():
+    """A map's verdict rows come from invariants.map_verdicts alone, so a map
+    report and a diagram report list them the same way."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert "_map_verdicts" not in _functions(tree)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_tutte_verdict", "_loop_deletion_verdict"}
