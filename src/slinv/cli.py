@@ -49,14 +49,17 @@ def _load_diagram(path: str, args) -> SurfaceLinkDiagram:
 
 
 def _load_any(path: str, args) -> SurfaceLinkDiagram | CombinatorialMap:
+    """The diagram or map in `path`: a recognised header decides the format,
+    and the suffix decides it only for a file without one, whose parser then
+    reports the header."""
     text = _load_text(path)
     try:
         kind = format_lines(text, "sld", "rg")[0]
     except InputError:
-        kind = None
-    if path.endswith(".sld") or kind == "sld":
+        kind = Path(path).suffix[1:]
+    if kind == "sld":
         return parse_diagram(text, auto_orient=getattr(args, "auto_orient", False))
-    if path.endswith(".rg") or kind == "rg":
+    if kind == "rg":
         return parse_map(text)
     raise InputError(f"{path}: expected an .sld diagram or .rg map file")
 

@@ -129,13 +129,21 @@ def big_P(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
 
 def _shifted(p: LaurentPoly) -> LaurentPoly:
     """P from p by the binomial theorem: c x^i y^j u^k v^l adds
-    (-1)^(i-a+j-b) C(i,a) C(j,b) c at X^a Y^b U^k V^l (krushkal's i, j >= 0)."""
+    (-1)^(i-a+j-b) C(i,a) C(j,b) c at X^a Y^b U^k V^l (krushkal's i, j >= 0).
+    Each exponent's signed binomial row is built once; the constructor drops
+    the terms that cancel."""
+    rows: dict[int, list[tuple[int, int]]] = {}  # n: [(a, (-1)^(n-a) C(n,a))]
     terms: Terms = {}
+    get = terms.get
     for (i, j, u, v), coeff in p.terms.items():
-        for a in range(i + 1):
-            row = (-1) ** (i - a) * comb(i, a) * coeff
-            for b in range(j + 1):
-                add_entry(terms, (a, b, u, v), (-1) ** (j - b) * comb(j, b) * row)
+        for n in (i, j):
+            if n not in rows:
+                rows[n] = [(a, (-1) ** (n - a) * comb(n, a)) for a in range(n + 1)]
+        for a, row in rows[i]:
+            row *= coeff
+            for b, column in rows[j]:
+                key = (a, b, u, v)
+                terms[key] = get(key, 0) + row * column
     return LaurentPoly(BIG_VARS, terms)
 
 

@@ -23,6 +23,7 @@ are label tuples.  The rational homology module checks these integer routes.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -566,8 +567,10 @@ def walk_subgraphs(m: CombinatorialMap, sink: dict | list) -> None:
 
 # The fewest items whose tally walk_choices sweeps.  Best-of-10 timings of
 # state_tally and subgraph_tally (8 seeded torus diagrams, their Tait graphs
-# and 8 genus 1-3 maps per size; Python 3.11, 2-vCPU Xeon) put the sweep at
-# 1.2-1.7x the flat walk's time at 6 items, 0.9-1.3x at 7, 0.6-0.8x at 8.
+# and 8 genus 1-3 maps per size; Python 3.11, 2-vCPU Xeon) put the sweep,
+# ordering included, at 1.0-1.9x the flat walk's time at 6 items (medians
+# 1.45-1.6), 0.8-1.4x at 7 (medians 0.92-1.08), 0.5-1.0x at 8 (medians
+# 0.63-0.77) and 0.3-0.7x at 9.  At 7 it is not reliably faster.
 _SWEEP_FROM = 8
 
 
@@ -591,9 +594,10 @@ def walk_choices(
     those closed (plus `curves`) and classes each union-find's class count,
     packed into one int key, a digit each, so that keys add along the walk.
 
-    A dict sink of _SWEEP_FROM items or more takes _sweep; any other takes
-    the flat walk, depth first with each step undone on the way back, which
-    is also the sweep's test oracle.
+    A dict sink of _SWEEP_FROM items or more takes _sweep, its items
+    renumbered into _sweep_order; any other takes the flat walk, in mask
+    order, depth first with each step undone on the way back, which is also
+    the sweep's test oracle.
     """
     n = len(choices)
     bits = max(2 * n + curves, *sizes).bit_length()
@@ -607,7 +611,7 @@ def walk_choices(
         start += size * unit
     digit = (1 << bits) - 1
     if isinstance(sink, dict) and n >= _SWEEP_FROM:
-        counts = _sweep(choices, ends, weights, units, start)
+        counts = _sweep(*_renumbered(_sweep_order(choices, ends), choices, ends), weights, units, start)
     else:
         forests = [UndoableUnionFind(size) for size in sizes]
         steps = [
@@ -648,14 +652,77 @@ def _walk(walk: tuple, e: int, key: int) -> None:
         unsmooth(ends, x1, y1, x2, y2)
 
 
+def _sweep_order(choices: Sequence, ends: list[int]) -> list[int]:
+    """The items of a walk in the order the sweep should decide them, which
+    keeps its frontier narrow.  Two items are linked once per strand between
+    their ends and once per union-find element that both join; the cut is
+    the links between decided and undecided items.  Each step decides the
+    item that shrinks the cut most (its links to decided items less those to
+    undecided ones), ties going to the most links to decided items, then to
+    the highest index; so the first is one with the fewest links."""
+    n = len(choices)
+    # groups[a]: the items of each strand and union-find element that item a
+    # shares, a included
+    groups: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    for x, y in enumerate(ends):
+        a, b = x >> 2, y >> 2
+        if a < b:
+            groups[a].append((a, b))
+            groups[b].append((a, b))
+    users: dict[tuple[int, int], list[int]] = {}
+    for a, pair in enumerate(choices):
+        for *_, f, i, j in pair:
+            for element in ((f, i), (f, j)):
+                items = users.setdefault(element, [])
+                if not items or items[-1] != a:
+                    items.append(a)
+    for items in users.values():
+        if len(items) > 1:
+            for a in items:
+                groups[a].append(items)
+    # [how much deciding the item shrinks the cut, its links to decided
+    # items, the item], so that the next item is the max
+    rank = [[len(mine) - sum(map(len, mine)), 0, a] for a, mine in enumerate(groups)]
+    order = []
+    for _ in range(n):
+        a = max(rank)[2]
+        rank[a][0] = -math.inf
+        order.append(a)
+        for items in groups[a]:
+            for b in items:
+                rank[b][0] += 2
+                rank[b][1] += 1
+    return order
+
+
+def _renumbered(order: list[int], choices: Sequence, ends: list[int]) -> tuple[list, list[int]]:
+    """`choices` and `ends` with item order[k] renumbered n-1-k, so that the
+    sweep, which decides items n-1..0, decides them in `order`."""
+    n = len(choices)
+    place = [0] * (4 * n)  # each end's new number
+    for k, old in enumerate(order):
+        new = 4 * (n - 1 - k)
+        place[4 * old : 4 * old + 4] = range(new, new + 4)
+    renumbered = [0] * (4 * n)
+    for x, y in enumerate(ends):
+        renumbered[place[x]] = place[y]
+    moved = [
+        tuple((place[x1], place[y1], place[x2], place[y2], f, i, j) for x1, y1, x2, y2, f, i, j in choices[old])
+        for old in reversed(order)
+    ]
+    return moved, renumbered
+
+
 def _sweep(choices: Sequence, ends: list[int], weights: tuple, units: list[int], start: int) -> dict[int, int]:
     """How many leaves of the flat walk have each key, by a frontier sweep
-    (Sekine-Imai-Tani, ISAAC 1995; Bar-Natan, JKTR 2007).  With items
-    n-1..e decided, the rest read only the signature: the pairing ends[:4e],
-    whose partners stay among those ends, and per union-find the classes of
-    the elements that items 0..e-1 join, labelled in order of first sight.
-    Equal signatures add equal changes to a key, so the sweep keeps one
-    {partial key: count} per signature: two smooths per signature and item."""
+    (Sekine-Imai-Tani, ISAAC 1995; Bar-Natan, JKTR 2007).  It decides the
+    items n-1..0, which walk_choices has renumbered into _sweep_order.  With
+    items n-1..e decided, the rest read only the signature: the pairing
+    ends[:4e], whose partners stay among those ends, and per union-find the
+    classes of the elements that items 0..e-1 join, labelled in order of
+    first sight.  Equal signatures add equal changes to a key, so the sweep
+    keeps one {partial key: count} per signature: two smooths per signature
+    and item."""
     # frontiers[e][f]: the elements of union-find f that items 0..e-1 join
     joined: list[set[int]] = [set() for _ in units]
     frontiers = [[[] for _ in units]]

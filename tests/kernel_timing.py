@@ -1,12 +1,13 @@
 """Time the two 2^n tallies and count their smooths, and time the Tutte oracle.
 
-For seeded torus diagrams at c = 8..14 (the state sum, and the subgraph sum
+For seeded torus diagrams at c = 8..18 (the state sum, and the subgraph sum
 over the shaded Tait graph) and seeded genus 1-3 maps at E = 8..12, print
 one line per input: the best time of state_tally or subgraph_tally, 2^n,
 and the number of calls to ribbon.smooth in one tally, read by wrapping it.
-A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item.
-Each Tait graph and map line also gives the best time of _shifted, which
-expands its p_G into P_G.
+A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item,
+so the c = 16 and 18 lines show where the sweep's item order does well or
+badly.  Each Tait graph and map line also gives the best time of _shifted,
+which expands its p_G into P_G.
 Then one line per Tait graph and map: the best time of tutte_check, its
 p_G summed beforehand, and the number of graphs its rank polynomial caches;
 and the same for the rank polynomial alone of the lattices under the square
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
 
     # (name, n, tally, map or None): a map's line also times _shifted
     cases = []
-    for c in range(8, 15, 2):
+    for c in range(8, 19, 2):
         for i, d in enumerate(sample_torus_diagrams(args.seed, args.count, c, c)):
             g_a = tait_graphs(d, checkerboard(d)).g_a
             cases.append((f"state sum c={c} #{i}", c, lambda d=d: state_tally(d), None))

@@ -164,6 +164,18 @@ def test_a_file_of_neither_suffix_is_known_by_its_header(tmp_path, capsys, name)
     assert run(capsys, ["invariants", str(path)]) == expected
 
 
+@pytest.mark.parametrize("name, suffix", [("torus_bouquet.rg", ".sld"), ("trefoil.sld", ".rg")])
+def test_the_header_outranks_a_swapped_suffix(tmp_path, capsys, name, suffix):
+    """A map saved under .sld loads as a map, and a diagram saved under .rg
+    as a diagram, for `invariants` and `verify` alike."""
+    path = tmp_path / f"copy{suffix}"
+    path.write_text(corpus_text(name))
+    for command in (["invariants"], ["invariants", "--json"], ["verify"]):
+        expected = run(capsys, [*command, write_corpus(tmp_path, name)])
+        assert expected[0] == 0
+        assert run(capsys, [*command, str(path)]) == expected
+
+
 def test_verify_finds_the_placeholder_rows_by_name(tmp_path, capsys):
     path = write_corpus(tmp_path, "vk2_1.sld")
     code, out, err = run(capsys, ["verify", path, "--verifier", "mu_coefficient", "--json"])

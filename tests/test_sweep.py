@@ -1,10 +1,15 @@
 """The frontier sweep of the two 2^n tallies: forced on every input, the
 state sum's and the subgraph sum's tally equal the Counter of the flat
-walk's rows, which equal the per-mask oracles' rows, and the sweep smooths
-far fewer times than there are masks."""
+walk's rows, which equal the per-mask oracles' rows, also in any order of
+the items, and the sweep smooths far fewer times than there are masks."""
 
 from collections import Counter
+from functools import cache, partial
 from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slinv.ribbon
 from slinv import (
@@ -73,11 +78,14 @@ def test_the_sweep_tallies_the_per_mask_subgraph_rows(maps):
         )
 
 
-def test_the_sweep_smooths_fewer_than_one_sixteenth_as_often_as_there_are_masks(monkeypatch):
-    """A regression guard: at c = 12 the state sum and the sum over a Tait
-    graph each call smooth fewer than 2^c / 16 times, where the flat walk
-    calls it 2^(c+1) - 2 times."""
-    (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=12, c_hi=12)
+@pytest.mark.parametrize("c, share", [(12, 32), (14, 128)], ids=["c=12", "c=14"])
+def test_the_sweep_smooths_under_a_share_of_the_masks(monkeypatch, c, share):
+    """A regression guard for the sweep and its order: on the seed-7
+    diagram the state sum and the sum over a Tait graph each call smooth
+    fewer than 2^c / 32 times at c = 12 and 2^c / 128 times at c = 14, where
+    the flat walk calls it 2^(c+1) - 2 times (54 and 46 each in the sweep's
+    order, 136 and 434 in input order)."""
+    (d,) = sample_torus_diagrams(seed=7, count=1, c_lo=c, c_hi=c)
     g_a = tait_graphs(d, checkerboard(d)).g_a
     smooth, calls = slinv.ribbon.smooth, []
 
@@ -88,5 +96,37 @@ def test_the_sweep_smooths_fewer_than_one_sixteenth_as_often_as_there_are_masks(
     monkeypatch.setattr(slinv.ribbon, "smooth", counted)
     for tally_of in (lambda: state_tally(d), lambda: subgraph_tally(g_a)):
         calls.clear()
-        assert sum(tally_of().values()) == 1 << 12
-        assert 0 < len(calls) < (1 << 12) // 16
+        assert sum(tally_of().values()) == 1 << c
+        assert 0 < len(calls) < (1 << c) // share
+
+
+@cache
+def permutation_cases():
+    """(name, n, tally_of, the Counter of the flat walk's rows) of seeded
+    torus diagrams, their shaded Tait graphs and genus 1-3 maps."""
+    cases = []
+    for i, d in enumerate(sample_torus_diagrams(seed=4251, count=3, c_lo=6, c_hi=10)):
+        g_a = tait_graphs(d, checkerboard(d)).g_a
+        cases.append((f"diagram {i}", d.crossings, partial(state_tally, d), Counter(state_numbers(d))))
+        cases.append((f"diagram {i}: G_A", g_a.E, partial(subgraph_tally, g_a), Counter(subgraph_rows(g_a))))
+    for i, m in enumerate(sample_ribbon_maps(seed=4252, count=4, genera=(1, 2, 3), e_max=10)):
+        cases.append((f"map {i}", m.E, partial(subgraph_tally, m), Counter(subgraph_rows(m))))
+    return cases
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_the_sweep_tally_does_not_depend_on_the_item_order(data):
+    """Swept in any order of its items, a tally equals the Counter of the
+    flat walk's rows, which are in mask order."""
+    for name, n, tally_of, expected in permutation_cases():
+        order = data.draw(st.permutations(range(n)), label=name)
+
+        def fixed(choices, ends):
+            assert len(choices) == n, name
+            return order
+
+        with mock.patch.object(slinv.ribbon, "_SWEEP_FROM", 0), mock.patch.object(
+            slinv.ribbon, "_sweep_order", fixed
+        ):
+            assert tally_of() == expected, (name, order)
