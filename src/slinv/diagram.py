@@ -253,23 +253,24 @@ serialize_diagram = SurfaceLinkDiagram.to_text
 # -- crossing-level queries ---------------------------------------------------
 
 
-def _out_slots(d: SurfaceLinkDiagram, cr: int) -> tuple[int, int]:
-    """(over_out, under_out): the outgoing slot of each strand at cr."""
-    tails = {tail for tail, _ in d.arcs}
+def _sign(tails: set[tuple[int, int]], cr: int) -> int:
+    """crossing_sign of cr, given the set of every arc's tail slot: the
+    over-strand leaves by slot 0 or 2 and the under-strand by slot 1 or 3."""
     over_out = 0 if (cr, 0) in tails else 2
     under_out = 1 if (cr, 1) in tails else 3
-    return over_out, under_out
+    return 1 if under_out == (over_out + 1) % 4 else -1
 
 
 def crossing_sign(d: SurfaceLinkDiagram, cr: int) -> int:
     """+1 when the under-strand exits one counterclockwise step past the
     over-strand's exit, -1 otherwise."""
-    over_out, under_out = _out_slots(d, cr)
-    return 1 if under_out == (over_out + 1) % 4 else -1
+    return _sign({tail for tail, _ in d.arcs}, cr)
 
 
 def writhe(d: SurfaceLinkDiagram) -> int:
-    return sum(crossing_sign(d, cr) for cr in range(d.crossings))
+    """The sum of the crossing signs, from one set of arc tails."""
+    tails = {tail for tail, _ in d.arcs}
+    return sum(_sign(tails, cr) for cr in range(d.crossings))
 
 
 def is_alternating(d: SurfaceLinkDiagram) -> bool:

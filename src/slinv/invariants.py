@@ -47,7 +47,7 @@ from .errors import (
     NotTrivialLoop,
     PreconditionError,
 )
-from .poly import JKPoly, LaurentPoly, Terms, add_entry, curve_binomial_terms
+from .poly import JKPoly, LaurentPoly, Terms, add_entry, curve_binomial_sum, curve_binomial_terms
 from .ribbon import (
     CombinatorialMap,
     UndoableUnionFind,
@@ -388,20 +388,25 @@ def _state_sum(d: SurfaceLinkDiagram, tally: dict[tuple[int, int, int], int]) ->
     """The state sum of J_K over a colorable diagram's states, given the
     tally of their (b, |s|, r) rows, and the number of states with
     k(s) = |s| - r < 1, which the sum skips (their weight is undefined, and
-    none should exist).  Each row's count times the prefactor and its
-    weight's terms adds straight into the terms of J_K."""
+    none should exist).  The rows are grouped by z-power r and by k into a
+    signed count per t-shift 3w - c + 2b, and each z-power's coefficient,
+    the sum over k of those counts times CURVE_BINOMIAL^(k-1), is built by
+    Horner's rule in curve_binomial_sum.  The constructor drops the terms
+    that cancel."""
     c, w = d.crossings, writhe(d)
     sign = 1 if w % 2 == 0 else -1
-    terms: dict[tuple[int, int], int] = {}
+    groups: dict[int, dict[int, dict[int, int]]] = {}  # r: {k - 1: {t-shift: count}}
     bad = 0
     for (b, size, r), n in tally.items():
         k = size - r
         if k < 1:
             bad += n
             continue
-        shift = 3 * w + 2 * b - c
-        for tq, coeff in curve_binomial_terms(k - 1):
-            add_entry(terms, (shift + tq, r), sign * n * coeff)
+        # each (b, |s|, r) is one key of the tally, so each t-shift is set once
+        groups.setdefault(r, {}).setdefault(k - 1, {})[3 * w - c + 2 * b] = sign * n
+    terms = {
+        (tq, r): coeff for r, by_power in groups.items() for tq, coeff in curve_binomial_sum(by_power).items()
+    }
     return JKPoly(terms), bad
 
 

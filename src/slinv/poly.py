@@ -14,9 +14,10 @@ Both are immutable after construction and hash/compare by value.  Public
 construction, parse and from_json validate every term; the ring operations
 work on raw term dicts and wrap each result once, unchecked (``_like``),
 since sums and products of valid terms are valid.  The curve binomial
-(-t^(-1/2) - t^(1/2))^e has closed-form terms (``curve_binomial_terms``),
-from which the state sum and the Jones specialization build their results
-without ring arithmetic.
+B = -t^(-1/2) - t^(1/2) has closed-form powers (``curve_binomial_terms``),
+and sums of t-polynomials times its powers are built by Horner's rule
+(``curve_binomial_sum``), which is how the state sum and the Jones
+specialization build their results without ring arithmetic.
 Canonical text looks like ``3*V*X^-1 + 6`` and ``-t^-9/2 + 6*z*t^-3``;
 JSON is a list of ``{"coeff": c, "exps": [...]}`` objects in the same
 canonical term order.
@@ -440,13 +441,15 @@ class JKPoly(LaurentPoly):
 
     def jones_specialization(self) -> LaurentPoly:
         """Set z = -t^(-1/2) - t^(1/2); returns a Laurent polynomial in t
-        (scale 4, so quarter-exponents remain representable).  Each z^r
-        expands into the terms of curve_binomial_terms(r)."""
-        out: dict[tuple[int], int] = {}
+        (scale 4, so quarter-exponents remain representable).  The terms are
+        grouped by z-power, and curve_binomial_sum adds up each group times
+        CURVE_BINOMIAL to that power by Horner's rule; the constructor drops
+        the terms that cancel."""
+        by_power: dict[int, dict[int, int]] = {}
         for (tq, zp), coeff in self.terms.items():
-            for shift, binomial in curve_binomial_terms(zp):
-                add_entry(out, (tq + shift,), coeff * binomial)
-        return LaurentPoly(("t",), out, (4,))
+            by_power.setdefault(zp, {})[tq] = coeff
+        terms = {(tq,): coeff for tq, coeff in curve_binomial_sum(by_power).items()}
+        return LaurentPoly(("t",), terms, (4,))
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -482,3 +485,22 @@ def curve_binomial_terms(e: int) -> list[tuple[int, int]]:
     binomial theorem: (-1)^e C(e, j) t^((4j - 2e)/4) for j = 0..e."""
     sign = -1 if e % 2 else 1
     return [(4 * j - 2 * e, sign * comb(e, j)) for j in range(e + 1)]
+
+
+def curve_binomial_sum(polys: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
+    """The terms {t_quarter: coeff} of the sum over e of polys[e] times
+    CURVE_BINOMIAL ** e, where each polys[e] (e >= 0) is a polynomial in t
+    given as {t_quarter: coeff}, by Horner's rule from the highest e down:
+    multiplying by the binomial sends each term to quarter-exponents 2 below
+    and 2 above, negated.  Terms that cancel stay, with coefficient 0."""
+    acc: dict[int, int] = {}
+    for e in range(max(polys, default=-1), -1, -1):
+        stepped: dict[int, int] = {}
+        get = stepped.get
+        for tq, coeff in acc.items():
+            stepped[tq - 2] = get(tq - 2, 0) - coeff
+            stepped[tq + 2] = get(tq + 2, 0) - coeff
+        for tq, coeff in polys.get(e, {}).items():
+            stepped[tq] = get(tq, 0) + coeff
+        acc = stepped
+    return acc

@@ -6,8 +6,9 @@ one line per input: the best time of state_tally or subgraph_tally, 2^n,
 and the number of calls to ribbon.smooth in one tally, read by wrapping it.
 A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item,
 so the c = 16 and 18 lines show where the sweep's item order does well or
-badly.  Each Tait graph and map line also gives the best time of _shifted,
-which expands its p_G into P_G.
+badly.  Each state-sum line also gives the best time of _state_sum, which
+assembles J_K from the tally, and each Tait graph and map line the best time
+of _shifted, which expands its p_G into P_G.
 Then one line per Tait graph and map: the best time of tutte_check, its
 p_G summed beforehand, and the number of graphs its rank polynomial caches;
 and the same for the rank polynomial alone of the lattices under the square
@@ -26,8 +27,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import slinv.ribbon  # noqa: E402
-from slinv import MapAnalysis, checkerboard, state_tally, subgraph_tally, tait_graphs, tutte_check  # noqa: E402
-from slinv.invariants import _shifted, rank_polynomial  # noqa: E402
+from slinv import (  # noqa: E402
+    MapAnalysis,
+    SurfaceLinkDiagram,
+    checkerboard,
+    state_tally,
+    subgraph_tally,
+    tait_graphs,
+    tutte_check,
+)
+from slinv.invariants import _shifted, _state_sum, rank_polynomial  # noqa: E402
 
 from conftest import rank_cache_size, random_ribbon_map, sample_torus_diagrams, square_lattice_edges  # noqa: E402
 
@@ -76,25 +85,30 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="FILE", help="also write the lines as JSON")
     args = parser.parse_args(argv)
 
-    # (name, n, tally, map or None): a map's line also times _shifted
+    # (name, n, tally, subject): a diagram's line also times _state_sum, a
+    # map's line _shifted
     cases = []
     for c in range(8, 19, 2):
         for i, d in enumerate(sample_torus_diagrams(args.seed, args.count, c, c)):
             g_a = tait_graphs(d, checkerboard(d)).g_a
-            cases.append((f"state sum c={c} #{i}", c, lambda d=d: state_tally(d), None))
+            cases.append((f"state sum c={c} #{i}", c, lambda d=d: state_tally(d), d))
             cases.append((f"Tait graph E={c} #{i}", c, lambda g=g_a: subgraph_tally(g), g_a))
     for edges in (8, 10, 12):
         for i, m in enumerate(sample_maps(args.seed, args.count, edges)):
             cases.append((f"map E={edges} g={m.genus} #{i}", edges, lambda m=m: subgraph_tally(m), m))
 
     lines, analyses = [], []
-    for name, n, tally_of, m in cases:
+    for name, n, tally_of, subject in cases:
         smooths = smooth_calls(tally_of)
         seconds = best_time(tally_of, args.reps)
         line = {"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "smooths": smooths}
         text = f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} smooths={smooths:<6}"
-        if m is not None:
-            analysis = MapAnalysis(m)
+        if isinstance(subject, SurfaceLinkDiagram):
+            tally = state_tally(subject)
+            line["state_sum_ms"] = best_time(lambda d=subject, t=tally: _state_sum(d, t), args.reps) * 1e3
+            text += f" _state_sum {line['state_sum_ms']:7.3f} ms"
+        else:
+            analysis = MapAnalysis(subject)
             analyses.append((name, analysis))
             line["shifted_ms"] = best_time(lambda p=analysis.p: _shifted(p), args.reps) * 1e3
             text += f" _shifted {line['shifted_ms']:7.3f} ms"

@@ -13,6 +13,7 @@ from slinv import (
     InputError,
     NotCheckerboardColorable,
     NotReduced,
+    SlinvError,
     SpanningSubgraph,
     checkerboard,
     crossing_sign,
@@ -31,7 +32,7 @@ from slinv import (
     twist_regions,
     writhe,
 )
-from conftest import SLD_NAMES, corpus_text, sample_torus_diagrams
+from conftest import SLD_NAMES, corpus_text, random_alternating_diagram_text, sample_torus_diagrams
 
 CURL = "format sld 1\ncrossings 1\narc 0 0.0 0.3\narc 1 0.1 0.2\n"
 UNKNOT = "format sld 1\ncrossings 0\n"
@@ -94,7 +95,30 @@ def test_basic_scalars_of_the_corpus(diagrams):
 
 
 def test_crossing_signs_sum_to_the_writhe(diagrams):
-    for name, d in diagrams.items():
+    """On the corpus, on seeded torus diagrams up to 14 crossings, and on
+    seeded alternating wirings up to 14 crossings, where each crossing's
+    sign must also be the one the generator drew for it."""
+    labelled = list(diagrams.items())
+    randoms = sample_torus_diagrams(seed=2033, count=8, c_lo=3, c_hi=8)
+    for c in (10, 12, 14):
+        randoms += sample_torus_diagrams(seed=2033 + c, count=1, c_lo=c, c_hi=c)
+    labelled += [(f"torus[{i}] c={d.crossings}", d) for i, d in enumerate(randoms)]
+    rng = random.Random(2034)
+    for c in range(1, 15):
+        state = rng.getstate()
+        text = random_alternating_diagram_text(rng, c)
+        replay = random.Random()
+        replay.setstate(state)
+        [replay.choice((0, 2)) for _ in range(c)]  # the over-strand exits
+        drawn = [replay.choice((1, -1)) for _ in range(c)]
+        try:
+            d = parse_diagram(text)
+        except SlinvError:
+            continue
+        assert [crossing_sign(d, cr) for cr in range(c)] == drawn, f"wiring c={c}"
+        labelled.append((f"wiring c={c}", d))
+    assert len(labelled) > len(diagrams) + len(randoms) + 7
+    for name, d in labelled:
         signs = [crossing_sign(d, cr) for cr in range(d.crossings)]
         assert all(s in (-1, 1) for s in signs)
         assert sum(signs) == writhe(d), name

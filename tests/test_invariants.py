@@ -3,6 +3,7 @@ the two Jones routes, and the aggregate report."""
 
 import gc
 import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -54,7 +55,7 @@ from slinv import (
     writhe,
 )
 from slinv.cli import main
-from slinv.invariants import BIG_VARS, P_VARS, _shifted, _specialized, _state_sum
+from slinv.invariants import BIG_VARS, P_VARS, _shifted, _specialized, _state_sum, _weight
 
 from conftest import TWO_MERIDIANS_RG, corpus_text, sample_ribbon_maps, sample_torus_diagrams
 
@@ -284,24 +285,100 @@ def test_jones_routes_agree_on_colorable_corpus(colorable_diagrams):
         assert jones_krushkal_statesum(d) == jones_krushkal_via_P(d), name
 
 
-def test_state_sum_matches_the_sum_built_in_the_ring(colorable_diagrams):
-    """_state_sum, which adds the curve binomial's terms straight into J_K,
-    against (-1)^w t^(3w/4) * sum of n t^((b-a)/4) z^r CURVE_BINOMIAL^(k-1)
-    over the tally, built with the ring's own arithmetic, on the corpus and
-    seeded random torus diagrams up to 8 crossings."""
-    labelled = list(colorable_diagrams.items())
+@pytest.fixture(scope="module")
+def state_sum_diagrams(colorable_diagrams):
+    """(name, diagram) for the colorable corpus and seeded random torus
+    diagrams at 3 to 14 crossings."""
     randoms = sample_torus_diagrams(seed=2029, count=10, c_lo=3, c_hi=7)
     randoms += sample_torus_diagrams(seed=2030, count=4, c_lo=8, c_hi=8)
-    labelled += [(f"random[{i}] c={d.crossings}", d) for i, d in enumerate(randoms)]
-    for name, d in labelled:
-        c, w = d.crossings, writhe(d)
-        tally = state_tally(d)
-        expected = JKPoly.zero()
-        for (b, size, r), n in tally.items():
+    for c in range(9, 15):
+        randoms += sample_torus_diagrams(seed=2030 + c, count=1, c_lo=c, c_hi=c)
+    labelled = list(colorable_diagrams.items())
+    return labelled + [(f"random[{i}] c={d.crossings}", d) for i, d in enumerate(randoms)]
+
+
+def state_sum_in_the_ring(d, tally):
+    """(-1)^w t^(3w/4) times the sum of n _weight(2b - c, r, k) over the
+    tally's (b, |s|, r): n rows with k = |s| - r >= 1, added with the ring's
+    own arithmetic, and the summed count of the other rows."""
+    c, w = d.crossings, writhe(d)
+    total, bad = JKPoly.zero(), 0
+    for (b, size, r), n in tally.items():
+        if size - r < 1:
+            bad += n
+        else:
+            total = total + n * _weight(2 * b - c, r, size - r)
+    return JKPoly.term((-1) ** w, 3 * w) * total, bad
+
+
+def test_state_sum_matches_the_sum_built_in_the_ring(state_sum_diagrams):
+    """_state_sum, which groups the tally by (r, k) and expands each z-power
+    by Horner's rule in the curve binomial, against the sum of the rows'
+    weights built in the ring, on the corpus and seeded random torus
+    diagrams up to 14 crossings; each row's weight is also checked against
+    t^((b-a)/4) z^r CURVE_BINOMIAL^(k-1)."""
+    assert max(d.crossings for _, d in state_sum_diagrams) == 14
+    for name, d in state_sum_diagrams:
+        c, tally = d.crossings, state_tally(d)
+        for b, size, r in tally:
             weight = JKPoly.term(1, 2 * b - c, r) * CURVE_BINOMIAL ** (size - r - 1)
-            expected = expected + n * weight
-        expected = JKPoly.term((-1) ** w, 3 * w) * expected
-        assert _state_sum(d, tally) == (expected, 0), name
+            assert _weight(2 * b - c, r, size - r) == weight, name
+        expected = state_sum_in_the_ring(d, tally)
+        assert _state_sum(d, tally) == expected and expected[1] == 0, name
+
+
+def test_the_state_sum_of_hand_made_tallies(diagrams):
+    """_state_sum on tallies no diagram gives, under odd and even writhe:
+    rows with k < 1 only count as bad, a one-row tally with k = 1 is one
+    monomial, and one with k = 9 is CURVE_BINOMIAL^8 times a monomial."""
+    for name, parity in (("trefoil.sld", 1), ("figure8.sld", 0)):
+        d = diagrams[name]
+        c, w = d.crossings, writhe(d)
+        assert w % 2 == parity, name
+        sign = (-1) ** w
+        tallies = [
+            {(1, 2, 1): 5},
+            {(0, 9, 0): 2},
+            {(0, 1, 1): 4, (1, 0, 2): 3},
+            {(0, 1, 1): 4, (2, 10, 1): 1, (c, 3, 1): 7, (1, 1, 3): 2},
+            {(b, size, r): 1 + b * size for b in range(c + 1) for size in range(5) for r in range(3)},
+        ]
+        for tally in tallies:
+            assert _state_sum(d, tally) == state_sum_in_the_ring(d, tally), (name, tally)
+        assert _state_sum(d, tallies[0]) == (JKPoly.term(5 * sign, 3 * w + 2 - c, 1), 0)
+        nine = JKPoly.term(2 * sign, 3 * w - c) * CURVE_BINOMIAL**8
+        assert _state_sum(d, tallies[1]) == (nine, 0) and len(nine.terms) == 9
+        assert _state_sum(d, tallies[2]) == (JKPoly.zero(), 7)
+        assert _state_sum(d, tallies[3])[1] == 6
+
+
+def test_jones_specialization_equals_the_substitution(state_sum_diagrams):
+    """jones_specialization, which groups J_K by z-power and expands by
+    Horner's rule, against z -> CURVE_BINOMIAL done with JKPoly products, on
+    the state sums of the corpus and seeded torus diagrams up to 14
+    crossings, on hand-made polynomials, one of which cancels to 0, and on
+    seeded polynomials with gaps between their z-powers."""
+
+    def substituted(jk):
+        total = JKPoly.zero()
+        for (tq, zp), coeff in jk.terms.items():
+            total = total + JKPoly.term(coeff, tq) * CURVE_BINOMIAL**zp
+        return LaurentPoly(T_RING, {(tq,): coeff for (tq, _), coeff in total.terms.items()}, T_SCALE)
+
+    labelled = [(name, jones_krushkal_statesum(d)) for name, d in state_sum_diagrams]
+    labelled += [
+        ("zero", JKPoly.zero()),
+        ("z^9", JKPoly.term(3, -5, 9)),
+        ("cancels", JKPoly({(0, 1): 1, (-2, 0): 1, (2, 0): 1})),
+        ("ladder", JKPoly({(4 * j, j): (-1) ** j * (j + 1) for j in range(10)})),
+    ]
+    rng = random.Random(2035)
+    for i in range(40):
+        terms = {(rng.randrange(-12, 13), rng.randrange(10)): rng.randint(-5, 5) for _ in range(rng.randint(1, 6))}
+        labelled.append((f"seeded[{i}]", JKPoly(terms)))
+    for name, jk in labelled:
+        assert jk.jones_specialization() == substituted(jk), name
+    assert dict(labelled)["cancels"].jones_specialization() == LaurentPoly.zero(T_RING, T_SCALE)
 
 
 @pytest.fixture(scope="module")

@@ -157,6 +157,34 @@ def test_the_report_path_substitutes_by_term_maps():
     assert [name for name in ("substitute", "_one_plus_y") if name in source] == []
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute that `node` mentions."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_the_state_sum_and_jones_expand_the_binomial_by_horner():
+    """_state_sum and jones_specialization, and the poly helpers they call,
+    expand powers of the curve binomial by Horner's rule: none of them adds
+    term by term through add_entry, computes a binomial by comb or builds a
+    curve_binomial_terms list (_weight, which prints one row's weight in
+    `slinv states`, may)."""
+    poly = ast.parse((PACKAGE / "poly.py").read_text())
+    helpers = _functions(poly)
+    (jk_class,) = [n for n in poly.body if isinstance(n, ast.ClassDef) and n.name == "JKPoly"]
+    routes = {
+        "_state_sum": _functions(ast.parse((PACKAGE / "invariants.py").read_text()))["_state_sum"],
+        "jones_specialization": _functions(jk_class)["jones_specialization"],
+    }
+    found = []
+    for route, node in routes.items():
+        called = [helpers[name] for name in sorted(_names(node) & set(helpers))]
+        named = set().union(*map(_names, [node, *called]))
+        found += [f"{route} names {name}" for name in ("add_entry", "comb", "curve_binomial_terms") if name in named]
+    assert found == []
+
+
 def _module_names(tree: ast.Module):
     """(line, name) of each name bound at the top level of `tree`."""
     for top in tree.body:
