@@ -18,21 +18,19 @@ from pathlib import Path
 from .diagram import (
     DEFAULT_CAP,
     SurfaceLinkDiagram,
+    check_crossing_cap,
     parse_diagram,
     state_numbers,
     writhe,
 )
 from .errors import InputError, NonIntegerGenus, PreconditionError, SlinvError
 from .invariants import (
-    FORMAL_BOUNDS_NOTE,
     DiagramAnalysis,
     InvariantReport,
     MapAnalysis,
-    _check_crossing_cap,
     _weight,
     full_report,
     map_verdicts,
-    volume_bounds,
 )
 from .ribbon import CombinatorialMap, format_lines, parse_map
 
@@ -111,8 +109,8 @@ def _map_report(m: CombinatorialMap, cap: int):
             "edges": m.E,
             "faces": m.F,
             "genus": m.genus,
-            "p": {"text": p.to_text(), "terms": p.to_json()},
-            "P": {"text": P.to_text(), "terms": P.to_json()},
+            "p": p.to_report_json(),
+            "P": P.to_report_json(),
             "reduced": data.to_json(),
             "verdicts": [v.to_json() for v in rows],
         }
@@ -274,7 +272,7 @@ def cmd_states(args) -> int:
             "crossings": d.crossings,
             "writhe": w,
             "states": rows,
-            "jones_krushkal": None if jk is None else {"text": jk.to_text(), "terms": jk.to_json()},
+            "jones_krushkal": None if jk is None else jk.to_report_json(),
         }
         if jk_note:
             out["jones_krushkal_note"] = jk_note
@@ -306,11 +304,10 @@ def cmd_bounds(args) -> int:
     d = _load_diagram(args.path, args)
     # bounds enumerate no states or subgraphs, so the analysis needs no cap;
     # --max-crossings is still enforced first, as in every other command
-    _check_crossing_cap(d, _cap(args))
+    check_crossing_cap(d, _cap(args))
     a = DiagramAnalysis(d)
+    lower, upper, note = a.volume
     t = a.tau_by_classes
-    lower, upper = volume_bounds(t, d.genus)
-    note = "" if a.flags.strongly_reduced else FORMAL_BOUNDS_NOTE
     obj = {
         "tau": t,
         "genus": d.genus,

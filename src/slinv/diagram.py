@@ -365,6 +365,13 @@ def tait_flags(*graphs: tuple[CombinatorialMap, Sequence[int]]) -> ReducedFlags:
 # -- states ---------------------------------------------------------------------
 
 
+def check_crossing_cap(d: SurfaceLinkDiagram, cap: int) -> None:
+    """Refuse a diagram of more than `cap` crossings: the cap on the 2^c
+    states, and the one check and message of every command that enforces it."""
+    if d.crossings > cap:
+        raise CrossingCapExceeded(f"{d.crossings} crossings exceed the cap of {cap}")
+
+
 def state_numbers(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> list[tuple[int, int, int]]:
     """(b, |s|, r) of every smoothing state, in bitmask order (bit i set = B
     at crossing i), the order of homology.enumerate_states: walk_states with
@@ -402,9 +409,8 @@ def walk_states(d: SurfaceLinkDiagram, sink: dict | list, cap: int = DEFAULT_CAP
     counts them.  The 0-crossing unknot is one curve cutting the sphere in
     two.
     """
+    check_crossing_cap(d, cap)
     c = d.crossings
-    if c > cap:
-        raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
     if c == 0:
         walk_choices((), [], (2,), _state_row, sink, curves=1)
         return

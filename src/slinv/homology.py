@@ -19,10 +19,9 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from ._linalg import Echelon, Vec
-from .diagram import DEFAULT_CAP, SurfaceLinkDiagram
+from .diagram import DEFAULT_CAP, SurfaceLinkDiagram, check_crossing_cap
 from .errors import (
     ContextMismatch,
-    CrossingCapExceeded,
     EndpointsDiffer,
     HomologyRankMismatch,
     InputError,
@@ -332,9 +331,8 @@ def _state_curves(m: CombinatorialMap, c: int, mask: int) -> list[list[int]]:
 def enumerate_states(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> Iterator[State]:
     """All 2^c smoothing states, in bitmask order (bit i set = B at crossing i),
     with the curve rank r and the curves' classes from rational homology."""
+    check_crossing_cap(d, cap)
     c = d.crossings
-    if c > cap:
-        raise CrossingCapExceeded(f"2^{c} states exceed the cap of 2^{cap}")
     if c == 0:
         yield State(choice=(), curves=((),), a=0, b=0, r=0)
         return

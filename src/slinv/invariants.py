@@ -28,6 +28,7 @@ from .diagram import (
     Coloring,
     ReducedFlags,
     SurfaceLinkDiagram,
+    check_crossing_cap,
     checkerboard,
     is_alternating,
     state_tally,
@@ -104,11 +105,6 @@ def _skipped(name: str, reason: str) -> Verdict:
 def _check_edge_cap(m: CombinatorialMap, cap: int) -> None:
     if m.E > cap:
         raise EdgeCapExceeded(f"{m.E} edges exceed the subgraph-sum cap of {cap}")
-
-
-def _check_crossing_cap(d: SurfaceLinkDiagram, cap: int) -> None:
-    if d.crossings > cap:
-        raise CrossingCapExceeded(f"{d.crossings} crossings exceed the cap of {cap}")
 
 
 def krushkal(m: CombinatorialMap, cap: int = DEFAULT_CAP) -> LaurentPoly:
@@ -282,25 +278,18 @@ class ReducedGraphData:
         }
 
 
-def reduce(a: MapAnalysis, representative_rotation: int = 0) -> ReducedGraphData:
-    """Reduced-graph statistics; the representative of each parallel class is
-    chosen by index rotation so invariance under the choice is testable."""
+def reduce(a: MapAnalysis) -> ReducedGraphData:
+    """Reduced-graph statistics; each parallel class keeps its lowest edge."""
     m = a.map
     forest = UndoableUnionFind(m.E)
     for e, f in a.parallel_pairs:
         forest.union(e, f)
-    classes: dict[int, list[int]] = {}
+    lowest: dict[int, int] = {}  # each class's lowest edge, in increasing order
     for e in m.edge_ids:
-        classes.setdefault(forest.find(e), []).append(e)
+        lowest.setdefault(forest.find(e), e)
 
     trivial = set(a.trivial_loops)
-
-    kept: list[int] = []
-    for cls in sorted(classes.values()):
-        if cls[0] in trivial:
-            continue
-        kept.append(cls[representative_rotation % len(cls)])
-    kept.sort()
+    kept = [e for e in lowest.values() if e not in trivial]
 
     loops = [e for e in kept if m.is_loop(e)]
     non_loops = [e for e in kept if not m.is_loop(e)]
@@ -559,11 +548,12 @@ class DiagramAnalysis:
     """What the report derives from one diagram, each piece computed at most
     once, on first use: the checkerboard coloring, the Tait graphs (as
     MapAnalysis objects), the reduced flags, one state sum, the Tait-graph
-    specialization of J_K, the crossing pairs parallel in a Tait graph and
-    both twist numbers.  A piece whose hypotheses fail raises the
-    PreconditionError of the public function that computes it alone.  Given
-    the `tally` of the states' (b, |s|, r) rows (state_tally's), the state
-    sum reads it instead of walking the states itself."""
+    specialization of J_K, the crossing pairs parallel in a Tait graph,
+    both twist numbers and the volume bounds.  A piece whose hypotheses fail
+    raises the PreconditionError of the public function that computes it
+    alone.  Given the `tally` of the states' (b, |s|, r) rows
+    (state_tally's), the state sum reads it instead of walking the states
+    itself."""
 
     def __init__(
         self,
@@ -602,14 +592,16 @@ class DiagramAnalysis:
     def tait(self) -> tuple[MapAnalysis, MapAnalysis]:
         """(G_A, G_B), each the other's dual: dual(G_B) is G_A, and dual(G_A)
         is G_B up to the isomorphism alpha (see ribbon), so the report gives
-        each as the other's `dual` and sums each Tait graph once."""
+        each as the other's `dual` and sums each Tait graph once.  The
+        0-crossing unknot's have one vertex and no edges each."""
+        if self.d.crossings == 0:
+            point = CombinatorialMap([()], [])
+            return MapAnalysis(point, self.cap), MapAnalysis(point, self.cap)
         pair = tait_graphs(self.d, self.coloring())
         return MapAnalysis(pair.g_a, self.cap), MapAnalysis(pair.g_b, self.cap)
 
     @cached_property
     def flags(self) -> ReducedFlags:
-        if self.d.crossings == 0:
-            return ReducedFlags(True, True, True)
         return tait_flags(*((g.map, g.trivial_loops) for g in self.tait))
 
     def require_reduced_alternating(self) -> None:
@@ -621,9 +613,8 @@ class DiagramAnalysis:
     @cached_property
     def state_sum(self) -> tuple[JKPoly, int]:
         """(J_K by the state sum, the number of states with k(s) < 1)."""
-        if self.d.crossings == 0:
-            return JKPoly.const(1), 0
-        self.coloring()  # raises on a non-colorable diagram
+        if not self.colorable:
+            self.coloring()  # raises why
         tally = state_tally(self.d, self.cap) if self._tally is None else self._tally
         return _state_sum(self.d, tally)
 
@@ -636,9 +627,7 @@ class DiagramAnalysis:
 
     @cached_property
     def jk_via_P(self) -> JKPoly:
-        if self.d.crossings == 0:
-            return JKPoly.const(1)
-        _check_crossing_cap(self.d, self.cap)
+        check_crossing_cap(self.d, self.cap)
         if not self.alternating:
             # the unsigned Tait-graph substitution needs every crossing to sit the
             # same way against the shading, which is exactly alternation
@@ -650,8 +639,6 @@ class DiagramAnalysis:
     def parallel_crossings(self) -> tuple[tuple[int, int, bool, bool], ...]:
         """(i, j, parallel in G_A, parallel in G_B) for each pair i < j of
         crossings parallel in at least one Tait graph."""
-        if self.d.crossings == 0:
-            return ()
         in_a, in_b = (g.parallel_pairs for g in self.tait)
         return tuple((i, j, (i, j) in in_a, (i, j) in in_b) for i, j in sorted(in_a | in_b))
 
@@ -659,19 +646,22 @@ class DiagramAnalysis:
     def tau_by_classes(self) -> int:
         """Crossings up to the equivalence generated by parallelism in
         either Tait graph, by union-find."""
-        if self.d.crossings == 0:
-            return 0
         self.require_reduced_alternating()
         pairs = ((i, j) for i, j, _, _ in self.parallel_crossings)
         return component_count(self.d.crossings, pairs)
 
     @cached_property
     def tau_by_formula(self) -> int:
-        if self.d.crossings == 0:
-            return 0
         self.require_reduced_alternating()
         ra, rb = (g.reduced for g in self.tait)
         return ra.lam + ra.mu + rb.lam + rb.mu - 2 * self.d.genus
+
+    @cached_property
+    def volume(self) -> tuple[float, float, str]:
+        """(lower, upper, note): volume_bounds of tau_by_classes, noted as
+        formal (FORMAL_BOUNDS_NOTE) unless the diagram is strongly reduced."""
+        lower, upper = volume_bounds(self.tau_by_classes, self.d.genus)
+        return lower, upper, "" if self.flags.strongly_reduced else FORMAL_BOUNDS_NOTE
 
 
 # -- verifiers ---------------------------------------------------------------------
@@ -773,6 +763,7 @@ def verify_twist_formula(a: DiagramAnalysis) -> Verdict:
 def verify_tait_duality(a: DiagramAnalysis) -> Verdict:
     """The unshaded Tait graph is the dual map of the shaded one: dual(G_B)
     equals G_A exactly, with dual() applied to G_B's own map."""
+    a.coloring()  # the 0-crossing unknot has no faces to compare
     g_a, g_b = a.tait
     ok = dual(g_b.map) == g_a.map
     return _verdict("tait_duality", ok, "dual(G_B) compared with G_A")
@@ -893,7 +884,7 @@ class InvariantReport:
 
     def to_json(self) -> dict:
         def poly(p):
-            return None if p is None else {"text": p.to_text(), "terms": p.to_json()}
+            return None if p is None else p.to_report_json()
 
         def reduced(r: ReducedGraphData | None):
             return None if r is None else r.to_json()
@@ -942,7 +933,7 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
     DiagramAnalysis, so that each quantity is computed once; hypothesis
     failures become skipped verdicts rather than errors.  Cap violations
     propagate."""
-    _check_crossing_cap(d, cap)
+    check_crossing_cap(d, cap)
     a = DiagramAnalysis(d, cap)
     g = d.genus
     has_tait = d.crossings > 0 and a.colorable
@@ -969,8 +960,7 @@ def full_report(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> InvariantRepor
     elif g == 0:
         volume_note = "genus-0 diagram: bounds out of scope"
     else:
-        volume_lower, volume_upper = volume_bounds(tau_value, g)
-        volume_note = "" if a.flags.strongly_reduced else FORMAL_BOUNDS_NOTE
+        volume_lower, volume_upper, volume_note = a.volume
 
     verdicts: list[Verdict] = []
     for name, fn in (

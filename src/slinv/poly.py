@@ -311,6 +311,11 @@ class LaurentPoly:
     def to_json(self) -> list[dict]:
         return [{"coeff": c, "exps": list(e)} for e, c in self.sorted_terms()]
 
+    def to_report_json(self) -> dict:
+        """The shape every --json report gives a polynomial: its text and
+        its terms."""
+        return {"text": self.to_text(), "terms": self.to_json()}
+
     @classmethod
     def from_json(
         cls,

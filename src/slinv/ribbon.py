@@ -163,7 +163,9 @@ class CombinatorialMap:
         object.__setattr__(self, "vertex_of", tuple(vertex_of))
         object.__setattr__(self, "edge_of", tuple(edge_of))
 
-        # faces: orbits of phi(h) = sigma(alpha(h))
+        # faces: orbits of phi(h) = sigma(alpha(h)), found from starts in
+        # increasing order, so each begins at its least half-edge and the
+        # list is sorted by it
         if n_half == 0:
             orbit_list = [()]
         else:
@@ -179,7 +181,6 @@ class CombinatorialMap:
                     walk.append(h)
                     h = sigma[alpha[h]]
                 orbit_list.append(tuple(walk))
-        orbit_list.sort(key=lambda w: w[0] if w else -1)
         face_of = [-1] * n_half
         for idx, walk in enumerate(orbit_list):
             for h in walk:

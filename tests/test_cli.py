@@ -276,6 +276,11 @@ def test_crossing_cap_blocks_enumeration(tmp_path, capsys):
         code, out, err = run(capsys, ["bounds", path, "--max-crossings", "1"])
         assert (code, out) == (2, ""), name
         assert "exceed the cap of 1" in err, name
+    # one wording for every command, `states` included
+    path = write_corpus(tmp_path, "weave2x2.sld")
+    for command in ("invariants", "verify", "states", "bounds"):
+        code, out, err = run(capsys, [command, path, "--max-crossings", "3"])
+        assert (code, out, err) == (2, "", "error: 4 crossings exceed the cap of 3\n"), command
 
 
 def test_reports_build_no_homology_context(tmp_path, capsys, monkeypatch):

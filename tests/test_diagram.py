@@ -321,11 +321,13 @@ def test_auto_orient_repairs_every_component(diagrams):
 
 
 def test_state_enumeration_respects_the_cap(diagrams):
-    with pytest.raises(CrossingCapExceeded):
+    # every enumeration refuses through check_crossing_cap, in its one wording
+    message = "^3 crossings exceed the cap of 2$"
+    with pytest.raises(CrossingCapExceeded, match=message):
         list(enumerate_states(diagrams["trefoil.sld"], cap=2))
-    with pytest.raises(CrossingCapExceeded):
+    with pytest.raises(CrossingCapExceeded, match=message):
         list(state_numbers(diagrams["trefoil.sld"], cap=2))
-    with pytest.raises(CrossingCapExceeded):
+    with pytest.raises(CrossingCapExceeded, match=message):
         state_tally(diagrams["trefoil.sld"], cap=2)
 
 

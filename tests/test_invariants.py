@@ -55,7 +55,7 @@ from slinv import (
     writhe,
 )
 from slinv.cli import main
-from slinv.invariants import BIG_VARS, P_VARS, _shifted, _specialized, _state_sum, _weight
+from slinv.invariants import BIG_VARS, FORMAL_BOUNDS_NOTE, P_VARS, _shifted, _specialized, _state_sum, _weight
 
 from conftest import TWO_MERIDIANS_RG, corpus_text, sample_ribbon_maps, sample_torus_diagrams
 
@@ -146,16 +146,31 @@ def test_bundled_tait_graph_matches_the_weave(maps, diagrams):
     assert is_isomorphic(maps["weave_tait_a.rg"], pair.g_a)
 
 
+def _edges_shifted(m: CombinatorialMap, s: int) -> CombinatorialMap:
+    """m with its edge ids shifted cyclically: new edge e is old edge
+    (e + s) mod E, on the same rotations and half-edges."""
+    tails = [m.edge_tails[(e + s) % m.E] for e in m.edge_ids]
+    return CombinatorialMap(m.vertices, [(t, m.alpha[t]) for t in tails], tails)
+
+
 def test_reduction_is_independent_of_representative_choice(diagrams):
-    d = diagrams["trefoil.sld"]
-    pair = tait_graphs(d, checkerboard(d))
-    for graph in (MapAnalysis(pair.g_a), MapAnalysis(pair.g_b)):
-        runs = [reduce(graph, representative_rotation=r) for r in range(3)]
-        stats = {
-            (r.lam, r.mu, r.gamma, r.trivial_loops_deleted, r.has_3petal) for r in runs
-        }
-        assert len(stats) == 1
-        assert all(v.status != "fail" for v in verify_krushkal_coeffs(graph))
+    """reduce keeps the lowest edge id of each parallel class; relabelling
+    the edges by a cyclic shift makes it keep another edge of each class of
+    two or more, and the reduced statistics stay the same."""
+    for name in ("trefoil.sld", "weave2x2.sld", "vk4_106.sld"):
+        d = diagrams[name]
+        pair = tait_graphs(d, checkerboard(d))
+        for m in (pair.g_a, pair.g_b):
+            stats, kept = set(), set()
+            for s in range(m.E):
+                graph = MapAnalysis(_edges_shifted(m, s))
+                r = reduce(graph)
+                stats.add((r.lam, r.mu, r.gamma, r.trivial_loops_deleted, r.has_3petal))
+                kept.add(frozenset((e + s) % m.E for e in r.kept_edges))
+                assert all(v.status != "fail" for v in verify_krushkal_coeffs(graph))
+            assert len(stats) == 1, name
+            if MapAnalysis(m).parallel_pairs:
+                assert len(kept) > 1, name
 
 
 TAU_GOLDENS = {
@@ -721,9 +736,10 @@ def test_reports_serialize_to_json(diagrams):
 
 
 def test_caps_are_enforced(diagrams):
-    with pytest.raises(CrossingCapExceeded):
+    message = "^3 crossings exceed the cap of 2$"
+    with pytest.raises(CrossingCapExceeded, match=message):
         full_report(diagrams["trefoil.sld"], cap=2)
-    with pytest.raises(CrossingCapExceeded):
+    with pytest.raises(CrossingCapExceeded, match=message):
         jones_krushkal_via_P(diagrams["trefoil.sld"], cap=2)
     pair = tait_graphs(diagrams["weave2x2.sld"], checkerboard(diagrams["weave2x2.sld"]))
     with pytest.raises(EdgeCapExceeded):
@@ -742,3 +758,41 @@ def test_zero_crossing_diagram_report():
     assert "genus-0" in report.volume_note
     assert not [v for v in report.verdicts if v.status == "fail"]
     assert report.t_span == 0
+    tait_duality = next(v for v in report.verdicts if v.name == "tait_duality")
+    assert (tait_duality.status, tait_duality.detail) == ("skipped", "the 0-crossing unknot has no face structure")
+    assert report.n is None and report.p is None
+
+
+def test_the_unknot_analysis_reads_its_edgeless_tait_graphs():
+    """The 0-crossing unknot's Tait graphs are each one vertex and no edges;
+    the general code reads its constants off them."""
+    a = DiagramAnalysis(parse_diagram("format sld 1\ncrossings 0\n"))
+    point = CombinatorialMap([()], [])
+    assert [g.map for g in a.tait] == [point, point]
+    assert a.colorable and a.flags == reduced_flags(a.d)
+    assert a.state_sum == (JKPoly.const(1), 0)
+    assert a.jk_via_P == JKPoly.const(1)
+    assert a.parallel_crossings == ()
+    assert a.tau_by_classes == a.tau_by_formula == 0
+    with pytest.raises(GenusZero):
+        a.volume
+
+
+def test_the_volume_policy(diagrams):
+    """DiagramAnalysis.volume is volume_bounds of the union-find twist
+    number, with the formal-bounds note unless the diagram is strongly
+    reduced; full_report and `slinv bounds` both read it."""
+    notes = set()
+    for name in ("vk4_105.sld", "vk4_106.sld", "weave2x2.sld"):
+        d = diagrams[name]
+        a = DiagramAnalysis(d)
+        lower, upper, note = a.volume
+        assert (lower, upper) == volume_bounds(a.tau_by_classes, d.genus), name
+        assert note == ("" if a.flags.strongly_reduced else FORMAL_BOUNDS_NOTE), name
+        report = full_report(d)
+        assert (report.volume_lower, report.volume_upper, report.volume_note) == a.volume, name
+        notes.add(note)
+    assert notes == {"", FORMAL_BOUNDS_NOTE}
+    for name in ("figure8.sld", "trefoil.sld"):
+        with pytest.raises(GenusZero):
+            DiagramAnalysis(diagrams[name]).volume

@@ -82,6 +82,11 @@ def test_double_dual_is_the_alpha_conjugate(study_maps, random_maps):
         )
         assert star.dual() == conjugate
         assert is_isomorphic(dual(dual(m)), m)
+        # faces are found from starts in increasing order: each begins at its
+        # least half-edge, and the list is sorted by it
+        for faces in (m.faces, star.faces):
+            assert all(walk[0] == min(walk) for walk in faces)
+            assert [walk[0] for walk in faces] == sorted(walk[0] for walk in faces)
 
 
 def test_neighborhood_genus_identity_on_every_subgraph(exhaustive_profiles):

@@ -261,3 +261,43 @@ def test_the_cli_builds_no_verdict_list():
     assert "_map_verdicts" not in _functions(tree)
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"_tutte_verdict", "_loop_deletion_verdict"}
+
+
+def test_one_crossing_cap_check():
+    """The crossing cap is refused by diagram.check_crossing_cap alone, in
+    one wording: `exceed the cap of` appears once in the package."""
+    found = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if "exceed the cap of" in text
+    ]
+    check = _functions(ast.parse((PACKAGE / "diagram.py").read_text()))["check_crossing_cap"]
+    assert [(name, check.lineno <= line <= check.end_lineno) for name, line in found] == [("diagram.py", True)]
+
+
+def test_the_analysis_decides_the_unknot_once():
+    """DiagramAnalysis compares `crossings == 0` only in tait, which gives
+    the 0-crossing unknot its edgeless Tait graphs, and in colorable."""
+    tree = ast.parse((PACKAGE / "invariants.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DiagramAnalysis"]
+    found = sorted(
+        name
+        for name, method in _functions(cls).items()
+        for node in ast.walk(method)
+        if isinstance(node, ast.Compare)
+        and ast.unparse(node.left).endswith("crossings")
+        and [type(op) for op in node.ops] == [ast.Eq]
+        and ast.unparse(node.comparators[0]) == "0"
+    )
+    assert found == ["colorable", "tait"]
+
+
+def test_the_cli_keeps_no_report_policy():
+    """The volume policy and the crossing cap are decided in the library:
+    cli.py names neither the formal-bounds note, volume_bounds nor a
+    private cap check."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named = _names(tree) | imported
+    assert named & {"FORMAL_BOUNDS_NOTE", "volume_bounds", "_check_crossing_cap"} == set()
