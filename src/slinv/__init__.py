@@ -83,7 +83,7 @@ from .invariants import (
     verify_twist_formula,
     volume_bounds,
 )
-from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly, curve_binomial_terms
+from .poly import CURVE_BINOMIAL, JKPoly, LaurentPoly
 from .ribbon import (
     CombinatorialMap,
     delete_edge,

@@ -17,7 +17,7 @@ weave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     BadSlot,
@@ -25,9 +25,8 @@ from .errors import (
     InconsistentOrientation,
     InputError,
     NotCheckerboardColorable,
-    NotFourValent,
 )
-from .ribbon import CombinatorialMap, edge_kernels, format_lines, trivial_loops, walk_choices
+from .ribbon import CombinatorialMap, format_lines, walk_choices
 
 End = tuple[int, int]  # (crossing, slot)
 
@@ -164,9 +163,8 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
     if n_crossings is None:
         raise InputError("missing crossings line")
 
+    # no arc end is in range at 0 crossings, so such a diagram has no arcs
     if n_crossings == 0:
-        if arc_rows:
-            raise InputError("a 0-crossing diagram cannot have arcs")
         return SurfaceLinkDiagram(0, (), None, ((),))
 
     # compare the counts first, so an absurd crossing count builds no range
@@ -191,10 +189,6 @@ def parse_diagram(text: str, auto_orient: bool = False) -> SurfaceLinkDiagram:
             if end in occupancy:
                 raise BadSlot(f"slot {end[0]}.{end[1]} used twice")
             occupancy[end] = (a, which)
-    for cr in range(n_crossings):
-        for slot in range(4):
-            if (cr, slot) not in occupancy:
-                raise NotFourValent(f"slot {cr}.{slot} unused")
 
     components = _walk_strands(arcs, occupancy, auto_orient)
     if auto_orient:
@@ -346,20 +340,11 @@ def tait_graphs(d: SurfaceLinkDiagram, coloring: Coloring) -> TaitPair:
 
 
 def reduced_flags(d: SurfaceLinkDiagram) -> ReducedFlags:
-    """cellular is true by construction; nugatory_free means no homologically
-    trivial loops in either Tait graph, strongly_reduced no loops at all."""
-    if d.crossings == 0:
-        return ReducedFlags(True, True, True)
-    pair = tait_graphs(d, checkerboard(d))
-    return tait_flags(*((m, trivial_loops(m, edge_kernels(m))) for m in (pair.g_a, pair.g_b)))
+    """DiagramAnalysis(d).flags, imported on use: invariants imports this
+    module."""
+    from .invariants import DiagramAnalysis
 
-
-def tait_flags(*graphs: tuple[CombinatorialMap, Sequence[int]]) -> ReducedFlags:
-    """reduced_flags read off the two Tait graphs, each given with its
-    trivial loops."""
-    any_loop = any(m.is_loop(e) for m, _ in graphs for e in m.edge_ids)
-    any_trivial_loop = any(loops for _, loops in graphs)
-    return ReducedFlags(True, not any_trivial_loop, not any_loop)
+    return DiagramAnalysis(d).flags
 
 
 # -- states ---------------------------------------------------------------------

@@ -81,7 +81,8 @@ class InconsistentOrientation(InputError):
 
 
 class NotFourValent(InputError):
-    """A crossing does not have exactly four slots."""
+    """A crossing does not have exactly four slots; parse_diagram reports a
+    missing slot as an arc-count or a duplicate-slot error instead."""
 
 
 class NotCheckerboardColorable(PreconditionError):

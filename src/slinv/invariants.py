@@ -32,7 +32,6 @@ from .diagram import (
     checkerboard,
     is_alternating,
     state_tally,
-    tait_flags,
     tait_graphs,
     writhe,
 )
@@ -48,7 +47,7 @@ from .errors import (
     NotTrivialLoop,
     PreconditionError,
 )
-from .poly import JKPoly, LaurentPoly, Terms, add_entry, curve_binomial_sum, curve_binomial_terms
+from .poly import JKPoly, LaurentPoly, Terms, add_entry, curve_binomial_sum
 from .ribbon import (
     CombinatorialMap,
     UndoableUnionFind,
@@ -369,8 +368,8 @@ def jones_krushkal_statesum(d: SurfaceLinkDiagram, cap: int = DEFAULT_CAP) -> JK
 
 def _weight(b_minus_a: int, r: int, k: int) -> JKPoly:
     """t^((b-a)/4) z^r (-t^(-1/2) - t^(1/2))^(k-1): the weight of a state
-    with k >= 1, from the terms of the curve binomial."""
-    return JKPoly({(b_minus_a + tq, r): coeff for tq, coeff in curve_binomial_terms(k - 1)})
+    with k >= 1, by Horner's rule in the curve binomial."""
+    return JKPoly({(tq, r): coeff for tq, coeff in curve_binomial_sum({k - 1: {b_minus_a: 1}}).items()})
 
 
 def _state_sum(d: SurfaceLinkDiagram, tally: dict[tuple[int, int, int], int]) -> tuple[JKPoly, int]:
@@ -602,7 +601,11 @@ class DiagramAnalysis:
 
     @cached_property
     def flags(self) -> ReducedFlags:
-        return tait_flags(*((g.map, g.trivial_loops) for g in self.tait))
+        """cellular by construction; nugatory_free: no homologically trivial
+        loop in either Tait graph; strongly_reduced: no loop at all."""
+        trivial = [g.trivial_loops for g in self.tait]
+        any_loop = any(g.map.is_loop(e) for g in self.tait for e in g.map.edge_ids)
+        return ReducedFlags(True, not any(trivial), not any_loop)
 
     def require_reduced_alternating(self) -> None:
         if not self.alternating:

@@ -13,11 +13,11 @@ One ring implementation:
 Both are immutable after construction and hash/compare by value.  Public
 construction, parse and from_json validate every term; the ring operations
 work on raw term dicts and wrap each result once, unchecked (``_like``),
-since sums and products of valid terms are valid.  The curve binomial
-B = -t^(-1/2) - t^(1/2) has closed-form powers (``curve_binomial_terms``),
-and sums of t-polynomials times its powers are built by Horner's rule
-(``curve_binomial_sum``), which is how the state sum and the Jones
-specialization build their results without ring arithmetic.
+since sums and products of valid terms are valid.  Sums of t-polynomials
+times powers of the curve binomial B = -t^(-1/2) - t^(1/2) are built by
+Horner's rule (``curve_binomial_sum``), which is how the state sum, a
+state's weight and the Jones specialization build their results without
+ring arithmetic.
 Canonical text looks like ``3*V*X^-1 + 6`` and ``-t^-9/2 + 6*z*t^-3``;
 JSON is a list of ``{"coeff": c, "exps": [...]}`` objects in the same
 canonical term order.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -483,13 +482,6 @@ class JKPoly(LaurentPoly):
 # -t^(-1/2) - t^(1/2): a state's weight carries it to the power k(s) - 1,
 # and the Jones specialization sets z to it
 CURVE_BINOMIAL = JKPoly({(-2, 0): -1, (2, 0): -1})
-
-
-def curve_binomial_terms(e: int) -> list[tuple[int, int]]:
-    """The terms (t_quarter, coeff) of CURVE_BINOMIAL ** e for e >= 0, by the
-    binomial theorem: (-1)^e C(e, j) t^((4j - 2e)/4) for j = 0..e."""
-    sign = -1 if e % 2 else 1
-    return [(4 * j - 2 * e, sign * comb(e, j)) for j in range(e + 1)]
 
 
 def curve_binomial_sum(polys: Mapping[int, Mapping[int, int]]) -> dict[int, int]:

@@ -11,13 +11,14 @@ lies on the same oriented surface and the double dual, with sigma** = alpha
 sigma alpha, is the alpha-conjugate of the map, isomorphic to it via alpha.
 
 Each edge carries a designated tail half-edge, giving it a direction used
-for 1-chains.  subgraph_numbers counts on integers, and its kernel dimension
-k decides trivial loops and parallel edges; walk_subgraphs counts the same
-numbers for every subgraph in walk_choices, shared with the state sum: a
-flat walk for subgraph_rows, and a frontier sweep for a large tally.  Every
-component count and class partition goes through UndoableUnionFind, whose
-unions the flat walk undoes, except the sweep's frontier partitions, which
-are label tuples.  The rational homology module checks these integer routes.
+for 1-chains.  One model, the medial smoothing of _medial_items, gives a
+spanning subgraph's integer numbers: walk_subgraphs for every subgraph in
+walk_choices, shared with the state sum (a flat walk for subgraph_rows, a
+frontier sweep for a large tally), and subgraph_numbers for one, whose k
+decides trivial loops and parallel edges.  Every component count and class
+partition goes through UndoableUnionFind, except the sweep's frontier
+partitions, which are label tuples.  The rational homology module, which
+traces boundaries by its own face walk, checks these integer routes.
 """
 
 from __future__ import annotations
@@ -468,40 +469,28 @@ def _component_count(m: CombinatorialMap, edges: Iterable[int]) -> int:
 
 
 def subgraph_numbers(m: CombinatorialMap, edges: Iterable[int]) -> tuple[int, int, int, int, int]:
-    """(c, bc, s, s_perp, k) of the spanning subgraph H on `edges`, from
-    integer counts alone; homology.subgraph_profile computes the same
-    numbers with rational homology.
+    """(c, bc, s, s_perp, k) of the spanning subgraph H on `edges`: the
+    walk_subgraphs leaf of H's choices, each edge's taken once; the oracle
+    homology.subgraph_profile computes them with rational homology.
 
-    c comes from a union-find on the vertices over H, and the dual's
-    component count c* from a union-find on the faces (the dual's vertices)
-    over E - H.  bc counts H's boundary walks plus its isolated vertices; the
-    complement of H's neighborhood has the same boundary, so bc is also the
-    boundary count of E - H in the dual.  Then
+    c is the component count of H, c* that of E - H in the dual, and bc
+    counts H's boundary circles, its isolated vertices included; the
+    complement of H's neighborhood has the same boundary, so bc is also
+    the boundary count of E - H in the dual.  Then
         s = 2c - (V - |H| + bc),   s_perp = 2c* - (F - |E - H| + bc),
         k = (|H| - V + c) - g - s/2 + s_perp/2.
     """
-    sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
-    in_h = [False] * m.n_half
-    for e in edges:
-        t = m.edge_tails[e]
-        in_h[t] = in_h[alpha[t]] = True
-    inside = [(t, alpha[t]) for t in m.edge_tails if in_h[t]]
-    outside = [(t, alpha[t]) for t in m.edge_tails if not in_h[t]]
-    c = component_count(m.V, ((vertex_of[t], vertex_of[h]) for t, h in inside))
-    c_star = component_count(m.F, ((face_of[t], face_of[h]) for t, h in outside))
-    bc = m.V - len({vertex_of[h] for h in range(m.n_half) if in_h[h]})
-    seen = [False] * m.n_half
-    for start in range(m.n_half):
-        if not in_h[start] or seen[start]:
-            continue
-        bc += 1
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            h = sigma[alpha[h]]
-            while not in_h[h]:
-                h = sigma[h]
-    return _subgraph_row(m, len(inside), bc, c, c_star)
+    choices, ends = _medial_items(m)
+    chosen = set(edges)
+    forests = (UndoableUnionFind(m.V), UndoableUnionFind(m.F))
+    classes = [m.V, m.F]
+    bc = int(m.E == 0)
+    for e, pair in enumerate(choices):
+        x1, y1, x2, y2, f, i, j = pair[e in chosen]
+        bc += smooth(ends, x1, y1, x2, y2)
+        if forests[f].union(i, j) >= 0:
+            classes[f] -= 1
+    return _subgraph_row(m, len(chosen), bc, *classes)
 
 
 def _subgraph_row(
@@ -532,20 +521,25 @@ def subgraph_tally(m: CombinatorialMap) -> dict[tuple[int, int, int, int, int], 
 def walk_subgraphs(m: CombinatorialMap, sink: dict | list) -> None:
     """subgraph_numbers(m, H) of every spanning subgraph H, counted into a
     dict `sink` or appended to a list `sink` in mask order: walk_choices
-    with edge e out of H as its first choice and in H as its second, and
-    _subgraph_row of each leaf's (|H|, bc, c, c*).
+    over _medial_items, with edge e out of H as its first choice and in H
+    as its second, and _subgraph_row of each leaf's (|H|, bc, c, c*).  The
+    edgeless map's lone vertex is one boundary circle."""
+    choices, ends = _medial_items(m)
+    row = partial(_subgraph_row, m)
+    walk_choices(choices, ends, (m.V, m.F), row, sink, curves=int(m.E == 0))
 
-    c and c* are the classes of union-finds on the vertices over H and on
-    the faces over E - H.  bc counts the closed curves of the medial
+
+def _medial_items(m: CombinatorialMap) -> tuple[list, list[int]]:
+    """walk_choices' items and curve ends for m's subgraphs: c and c* are the
+    classes of union-finds on the vertices (0) over H and
+    on the faces (1) over E - H.  bc counts the closed curves of the medial
     smoothing: the edge e with tail t and head h = alpha(t) owns the ends
     4e and 4e+1 at the corners after and before t, and 4e+2 and 4e+3 at
     those after and before h, and each corner joins the end after its
     half-edge x to the end before sigma(x).  The edge joins (4e+1, 4e+2)
     and (4e+3, 4e) when in H, so that the curve runs along both sides of
     it, and (4e+1, 4e) and (4e+3, 4e+2) when out, so that the curve turns
-    back at both ends.  The edgeless map's lone vertex is one boundary
-    circle.
-    """
+    back at both ends."""
     sigma, alpha, vertex_of, face_of = m.sigma, m.alpha, m.vertex_of, m.face_of
     after = [0] * m.n_half
     choices = []
@@ -560,8 +554,7 @@ def walk_subgraphs(m: CombinatorialMap, sink: dict | list) -> None:
     for x in range(m.n_half):
         a, b = after[x], after[sigma[x]] + 1
         ends[a], ends[b] = b, a
-    row = partial(_subgraph_row, m)
-    walk_choices(choices, ends, (m.V, m.F), row, sink, curves=int(m.E == 0))
+    return choices, ends
 
 
 # -- the shared 2^n walk --------------------------------------------------------

@@ -8,7 +8,9 @@ A flat walk makes 2^(n+1) - 2 of them, a sweep two per signature and item,
 so the c = 16 and 18 lines show where the sweep's item order does well or
 badly.  Each state-sum line also gives the best time of _state_sum, which
 assembles J_K from the tally, and each Tait graph and map line the best time
-of _shifted, which expands its p_G into P_G.
+of _shifted, which expands its p_G into P_G, and of the one-shot queries
+(reduce on a fresh MapAnalysis, its single-edge kernels and parallel pairs
+included), with the number of subgraph_numbers calls they make.
 Then one line per Tait graph and map: the best time of tutte_check, its
 p_G summed beforehand, and the number of graphs its rank polynomial caches;
 and the same for the rank polynomial alone of the lattices under the square
@@ -26,11 +28,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import slinv.invariants  # noqa: E402
 import slinv.ribbon  # noqa: E402
 from slinv import (  # noqa: E402
     MapAnalysis,
     SurfaceLinkDiagram,
     checkerboard,
+    reduce,
     state_tally,
     subgraph_tally,
     tait_graphs,
@@ -52,19 +56,23 @@ def sample_maps(seed: int, count: int, edges: int) -> list:
     return out
 
 
-def smooth_calls(tally_of) -> int:
-    """The calls to ribbon.smooth in one tally_of()."""
-    smooth, calls = slinv.ribbon.smooth, []
+def ribbon_calls(name: str, fn) -> int:
+    """The calls to ribbon's function `name` in one fn(), read by wrapping it
+    wherever ribbon or invariants binds it."""
+    original, calls = getattr(slinv.ribbon, name), []
 
     def counted(*args):
         calls.append(None)
-        return smooth(*args)
+        return original(*args)
 
-    slinv.ribbon.smooth = counted
+    modules = [module for module in (slinv.ribbon, slinv.invariants) if vars(module).get(name) is original]
+    for module in modules:
+        setattr(module, name, counted)
     try:
-        tally_of()
+        fn()
     finally:
-        slinv.ribbon.smooth = smooth
+        for module in modules:
+            setattr(module, name, original)
     return len(calls)
 
 
@@ -99,7 +107,7 @@ def main(argv=None) -> int:
 
     lines, analyses = [], []
     for name, n, tally_of, subject in cases:
-        smooths = smooth_calls(tally_of)
+        smooths = ribbon_calls("smooth", tally_of)
         seconds = best_time(tally_of, args.reps)
         line = {"input": name, "n": n, "ms": seconds * 1e3, "states": 1 << n, "smooths": smooths}
         text = f"{name:<24} {seconds * 1e3:8.3f} ms  2^n={1 << n:<6} smooths={smooths:<6}"
@@ -111,7 +119,11 @@ def main(argv=None) -> int:
             analysis = MapAnalysis(subject)
             analyses.append((name, analysis))
             line["shifted_ms"] = best_time(lambda p=analysis.p: _shifted(p), args.reps) * 1e3
+            queries = lambda m=subject: reduce(MapAnalysis(m))  # noqa: E731
+            line["queries_ms"] = best_time(queries, args.reps) * 1e3
+            line["query_calls"] = ribbon_calls("subgraph_numbers", queries)
             text += f" _shifted {line['shifted_ms']:7.3f} ms"
+            text += f" queries {line['queries_ms']:7.3f} ms calls={line['query_calls']}"
         lines.append(line)
         print(text)
 

@@ -386,6 +386,34 @@ def test_cli_survives_mutated_corpus_files(fuzz_dir, case):
         assert (code == 0) == (err.getvalue() == ""), (command, text)
 
 
+# (file name, text, the error it must end in) of the input errors of
+# parse_diagram and of format detection; "{path}" is the file's path
+INPUT_ERRORS = [
+    ("twice.sld", "format sld 1\ncrossings 1\ncrossings 1\n", "bad crossings line 'crossings 1'"),
+    ("two_counts.sld", "format sld 1\ncrossings 1 2\n", "bad crossings line 'crossings 1 2'"),
+    ("short_arc.sld", "format sld 1\ncrossings 1\narc 0 0.0\n", "bad arc line 'arc 0 0.0'"),
+    ("early_over.sld", "format sld 1\nover 0 02\ncrossings 1\n", "over line before crossings line"),
+    ("bad_over.sld", "format sld 1\ncrossings 1\nover 0 12\n", "bad over line 'over 0 12'"),
+    ("arc_at_0.sld", "format sld 1\ncrossings 0\narc 0 0.0 0.1\n", "crossing 0 out of range"),
+    ("notes.txt", "crossings 1\n", "{path}: expected an .sld diagram or .rg map file"),
+]
+
+
+def test_each_input_error_has_its_own_message(tmp_path, capsys):
+    """Each malformed file exits 1 with its own message and no output, and a
+    crossing cap below 1 is argparse's usage error, exit 2."""
+    for name, text, message in INPUT_ERRORS:
+        path = tmp_path / name
+        path.write_text(text)
+        expected = f"error: {message.format(path=path)}\n"
+        assert run(capsys, ["invariants", str(path)]) == (1, "", expected), name
+    path = write_corpus(tmp_path, "trefoil.sld")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invariants", path, "--max-crossings", "0"])
+    assert exit_info.value.code == 2
+    assert "cap must be >= 1" in capsys.readouterr().err
+
+
 def test_absurd_crossing_count_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "absurd.sld"
     path.write_text("format sld 1\ncrossings 99999999999\narc 0 0.0 0.1\n")

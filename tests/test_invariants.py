@@ -313,16 +313,17 @@ def state_sum_diagrams(colorable_diagrams):
 
 
 def state_sum_in_the_ring(d, tally):
-    """(-1)^w t^(3w/4) times the sum of n _weight(2b - c, r, k) over the
-    tally's (b, |s|, r): n rows with k = |s| - r >= 1, added with the ring's
-    own arithmetic, and the summed count of the other rows."""
+    """(-1)^w t^(3w/4) times the sum of n t^((2b - c)/4) z^r
+    CURVE_BINOMIAL^(k-1) over the tally's (b, |s|, r): n rows with
+    k = |s| - r >= 1, added and multiplied with the ring's own arithmetic,
+    and the summed count of the other rows."""
     c, w = d.crossings, writhe(d)
     total, bad = JKPoly.zero(), 0
     for (b, size, r), n in tally.items():
         if size - r < 1:
             bad += n
         else:
-            total = total + n * _weight(2 * b - c, r, size - r)
+            total = total + JKPoly.term(n, 2 * b - c, r) * CURVE_BINOMIAL ** (size - r - 1)
     return JKPoly.term((-1) ** w, 3 * w) * total, bad
 
 

@@ -13,8 +13,8 @@ from slinv import (
     LaurentPoly,
     NonMonomialDenominator,
     ZeroPolynomial,
-    curve_binomial_terms,
 )
+from slinv.poly import curve_binomial_sum
 
 RING = ("x", "y")
 
@@ -221,10 +221,11 @@ def test_jk_ring_results_keep_z_powers_nonnegative():
     assert type(JKPoly.term(1, 0, 1) * 3) is JKPoly
 
 
-def test_curve_binomial_terms_expand_its_powers():
+def test_curve_binomial_sum_expands_its_powers():
+    """Horner's rule on one power alone against the ring's power."""
     for e in range(25):
-        expected = {(tq,): coeff for (tq, _), coeff in (CURVE_BINOMIAL ** e).terms.items()}
-        assert {(tq,): coeff for tq, coeff in curve_binomial_terms(e)} == expected, e
+        expected = {tq: coeff for (tq, _), coeff in (CURVE_BINOMIAL ** e).terms.items()}
+        assert curve_binomial_sum({e: {0: 1}}) == expected, e
 
 
 def test_jk_arithmetic_and_queries():

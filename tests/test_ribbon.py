@@ -87,6 +87,15 @@ def test_double_dual_is_the_alpha_conjugate(study_maps, random_maps):
         for faces in (m.faces, star.faces):
             assert all(walk[0] == min(walk) for walk in faces)
             assert [walk[0] for walk in faces] == sorted(walk[0] for walk in faces)
+    # is_isomorphic also tells maps apart: two maps of unequal size, and a
+    # genus-1 map and its mirror (every rotation reversed), whose counts
+    # agree; while two edgeless maps are isomorphic
+    m = random_maps[5]
+    mirror = CombinatorialMap([rot[::-1] for rot in m.vertices], [(t, m.alpha[t]) for t in m.edge_tails])
+    assert (mirror.V, mirror.E, mirror.F, mirror.genus) == (m.V, m.E, m.F, m.genus) == (4, 8, 4, 1)
+    assert not is_isomorphic(m, mirror)
+    assert random_maps[0].E != m.E and not is_isomorphic(random_maps[0], m)
+    assert is_isomorphic(CombinatorialMap([()], []), CombinatorialMap([()], []))
 
 
 def test_neighborhood_genus_identity_on_every_subgraph(exhaustive_profiles):

@@ -168,8 +168,7 @@ def test_the_state_sum_and_jones_expand_the_binomial_by_horner():
     """_state_sum and jones_specialization, and the poly helpers they call,
     expand powers of the curve binomial by Horner's rule: none of them adds
     term by term through add_entry, computes a binomial by comb or builds a
-    curve_binomial_terms list (_weight, which prints one row's weight in
-    `slinv states`, may)."""
+    curve_binomial_terms list."""
     poly = ast.parse((PACKAGE / "poly.py").read_text())
     helpers = _functions(poly)
     (jk_class,) = [n for n in poly.body if isinstance(n, ast.ClassDef) and n.name == "JKPoly"]
@@ -301,3 +300,53 @@ def test_the_cli_keeps_no_report_policy():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     named = _names(tree) | imported
     assert named & {"FORMAL_BOUNDS_NOTE", "volume_bounds", "_check_crossing_cap"} == set()
+
+
+def _owners(tree: ast.Module):
+    """(qualified name of the function or class member, node) of every node
+    below a top-level def or class of `tree`."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                for node in ast.walk(member):
+                    yield f"{top.name}.{getattr(member, 'name', '')}", node
+        elif isinstance(top, ast.FunctionDef):
+            for node in ast.walk(top):
+                yield top.name, node
+
+
+def test_one_face_walk_in_the_fast_path():
+    """The fast path has one model of a subgraph's curves, the medial walk:
+    in ribbon.py only CombinatorialMap.__init__, which finds the faces,
+    steps sigma[alpha[...]], and subgraph_numbers keeps no boundary walk of
+    its own beside the oracle's."""
+    tree = ast.parse((PACKAGE / "ribbon.py").read_text())
+    steppers = {
+        owner
+        for owner, node in _owners(tree)
+        if isinstance(node, ast.Subscript)
+        and ast.unparse(node.value).endswith("sigma")
+        and isinstance(node.slice, ast.Subscript)
+        and ast.unparse(node.slice.value).endswith("alpha")
+    }
+    assert steppers == {"CombinatorialMap.__init__"}
+
+
+def test_the_reduced_flags_come_from_the_analysis():
+    """diagram.reduced_flags reads DiagramAnalysis.flags: diagram.py keeps
+    no tait_flags and imports neither edge_kernels nor trivial_loops."""
+    tree = ast.parse((PACKAGE / "diagram.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "tait_flags" not in _functions(tree)
+    assert imported & {"edge_kernels", "trivial_loops"} == set()
+
+
+def test_one_expansion_of_the_curve_binomial():
+    """Powers of the curve binomial are expanded by curve_binomial_sum
+    alone: no module of the package defines curve_binomial_terms."""
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "curve_binomial_terms" in _functions(ast.parse(path.read_text()))
+    ]
+    assert found == []

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 import slinv.ribbon
 from slinv import (
     CombinatorialMap,
+    HomologyContext,
+    SpanningSubgraph,
     checkerboard,
     enumerate_states,
     parse_diagram,
     state_numbers,
     state_tally,
     subgraph_numbers,
+    subgraph_profile,
     subgraph_rows,
     subgraph_tally,
     tait_graphs,
@@ -60,7 +63,9 @@ def test_the_sweep_tallies_the_flat_state_rows(diagrams):
 def test_the_sweep_tallies_the_per_mask_subgraph_rows(maps):
     """The corpus maps, the edgeless map, both Tait graphs of seeded torus
     diagrams up to 10 crossings and seeded genus 1-3 maps up to 10 edges,
-    against subgraph_numbers of each mask."""
+    against subgraph_numbers of each mask.  subgraph_numbers shares the
+    walk's medial items, so on the maps of up to 8 edges its rows are also
+    checked against the rational-homology profile of each mask."""
     labelled = [*maps.items(), ("the edgeless map", CombinatorialMap([()], []))]
     for i, d in enumerate(sample_torus_diagrams(seed=4243, count=4, c_lo=7, c_hi=10)):
         pair = tait_graphs(d, checkerboard(d))
@@ -69,10 +74,14 @@ def test_the_sweep_tallies_the_per_mask_subgraph_rows(maps):
     labelled += [(f"random map {i}", m) for i, m in enumerate(drawn)]
     assert {m.genus for _, m in labelled} >= {0, 1, 2, 3}
     assert max(m.E for _, m in labelled) == 10
+    assert sum(m.E <= 8 for _, m in labelled) >= 8
     for name, m in labelled:
-        expected = [
-            subgraph_numbers(m, [e for e in m.edge_ids if mask >> e & 1]) for mask in range(1 << m.E)
-        ]
+        subgraphs = [[e for e in m.edge_ids if mask >> e & 1] for mask in range(1 << m.E)]
+        expected = [subgraph_numbers(m, edges) for edges in subgraphs]
+        if m.E <= 8:
+            ctx = HomologyContext(m)
+            profiles = [subgraph_profile(SpanningSubgraph(m, frozenset(edges)), ctx) for edges in subgraphs]
+            assert expected == [(p.components, p.boundary_count, p.s, p.s_perp, p.k) for p in profiles], name
         assert_the_sweep_tallies_the_rows(
             name, m.E, lambda: subgraph_rows(m), lambda: subgraph_tally(m), expected
         )
