@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -892,6 +892,8 @@ class InvariantReport:
         def reduced(r: ReducedGraphData | None):
             return None if r is None else r.to_json()
 
+        f = self.flags
+
         return {
             "crossings": self.crossings,
             "genus": self.genus,
@@ -899,7 +901,13 @@ class InvariantReport:
             "components": self.components,
             "alternating": self.alternating,
             "colorable": self.colorable,
-            "flags": None if self.flags is None else asdict(self.flags),
+            "flags": None
+            if f is None
+            else {
+                "cellular": f.cellular,
+                "nugatory_free": f.nugatory_free,
+                "strongly_reduced": f.strongly_reduced,
+            },
             "n": self.n,
             "N": self.N,
             "tait_a": reduced(self.tait_a),

@@ -11,13 +11,15 @@ One ring implementation:
   z first, in ascending (z, t) order.
 
 Both are immutable after construction and hash/compare by value.  Public
-construction, parse and from_json validate every term; the ring operations
-work on raw term dicts and wrap each result once, unchecked (``_like``),
-since sums and products of valid terms are valid.  Sums of t-polynomials
-times powers of the curve binomial B = -t^(-1/2) - t^(1/2) are built by
-Horner's rule (``curve_binomial_sum``), which is how the state sum, a
-state's weight and the Jones specialization build their results without
-ring arithmetic.
+construction, parse and from_json validate every term: a plain dict of
+int-tuple keys and int values, the shape every caller in the package builds,
+is checked whole at C speed (``_plain_terms``), and any other input term by
+term.  The ring operations work on raw term dicts and wrap each result once,
+unchecked (``_like``), since sums and products of valid terms are valid.
+Sums of t-polynomials times powers of the curve binomial
+B = -t^(-1/2) - t^(1/2) are built by Horner's rule (``curve_binomial_sum``),
+which is how the state sum, a state's weight and the Jones specialization
+build their results without ring arithmetic.
 Canonical text looks like ``3*V*X^-1 + 6`` and ``-t^-9/2 + 6*z*t^-3``;
 JSON is a list of ``{"coeff": c, "exps": [...]}`` objects in the same
 canonical term order.
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NonMonomialDenominator, ZeroPolynomial
@@ -38,11 +41,25 @@ _INT = re.compile(r"^-?\d+$")
 
 
 def _exp_str(stored: int, scale: int) -> str:
+    if not stored % scale:
+        return str(stored // scale)
     q = Fraction(stored, scale)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return f"{q.numerator}/{q.denominator}"
 
 
 Terms = dict[tuple[int, ...], int]
+
+
+def _plain_terms(terms: dict, n: int) -> bool:
+    """Whether every key of terms is a tuple of n ints and every value an
+    int (bool excluded), checked at C speed, one pass per condition."""
+    keys = terms.keys()
+    return (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {n}
+        and set(map(type, chain.from_iterable(keys))) <= {int}
+        and set(map(type, terms.values())) <= {int}
+    )
 
 
 def add_entry(d: dict, key, value) -> None:
@@ -84,8 +101,12 @@ class LaurentPoly:
         )
         if len(self.scales) != len(self.variables):
             raise ValueError("scales and variables must align")
+        terms = terms or {}
+        if type(terms) is dict and _plain_terms(terms, len(self.variables)):
+            object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+            return
         clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             if len(exps) != len(self.variables):
                 raise ValueError(f"exponent vector {exps} has wrong length")
             ints = tuple(map(int, exps))
@@ -245,7 +266,8 @@ class LaurentPoly:
         return Fraction(total)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        # the keys are distinct, so the pairs sort by key alone
+        return sorted(self.terms.items(), reverse=True)
 
     # -- substitution -----------------------------------------------------
 
@@ -277,34 +299,31 @@ class LaurentPoly:
 
     # -- text / JSON ------------------------------------------------------
 
-    def _render_term(self, exps: tuple[int, ...], coeff: int) -> tuple[int, str]:
-        order = self._factor_order or range(len(self.variables))
-        factors = [
-            name if stored == scale else f"{name}^{_exp_str(stored, scale)}"
-            for name, scale, stored in (
-                (self.variables[i], self.scales[i], exps[i]) for i in order
-            )
-            if stored
-        ]
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{mag}*" + "*".join(factors)
-        return (1 if coeff > 0 else -1), body
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"
+        factors = [
+            (i, self.variables[i], self.scales[i])
+            for i in self._factor_order or range(len(self.variables))
+        ]
         parts: list[str] = []
         for exps, coeff in self.sorted_terms():
-            sign, body = self._render_term(exps, coeff)
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
+            body = "*".join(
+                [
+                    name if exps[i] == scale else f"{name}^{_exp_str(exps[i], scale)}"
+                    for i, name, scale in factors
+                    if exps[i]
+                ]
+            )
+            mag = abs(coeff)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            if parts:
+                parts.append(("+ " if coeff > 0 else "- ") + body)
             else:
-                parts.append(f"{'+' if sign > 0 else '-'} {body}")
+                parts.append(body if coeff > 0 else "-" + body)
         return " ".join(parts)
 
     def to_json(self) -> list[dict]:
@@ -379,6 +398,16 @@ class LaurentPoly:
 _JK_RING, _JK_SCALES = ("t", "z"), (4, 1)
 
 
+def _z_powers_nonnegative(terms: Mapping) -> bool:
+    """Whether every key of terms is a pair whose second entry, the z-power,
+    is at least 0, checked at C speed; False also for a key that is not a
+    pair or a z-power that does not compare with 0."""
+    try:
+        return set(map(len, terms)) == {2} and min(map(itemgetter(1), terms)) >= 0
+    except TypeError:
+        return False
+
+
 class JKPoly(LaurentPoly):
     """The LaurentPoly ring in t^(1/4) and z: terms map (t_quarter, z_pow)
     -> coeff.
@@ -391,9 +420,11 @@ class JKPoly(LaurentPoly):
     _factor_order = (1, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
-        for _, zp in terms or {}:
-            if zp < 0:
-                raise ValueError(f"negative z-power {zp}")
+        if terms and not _z_powers_nonnegative(terms):
+            # the loop raises what the bulk check only detects
+            for _, zp in terms:
+                if zp < 0:
+                    raise ValueError(f"negative z-power {zp}")
         super().__init__(_JK_RING, terms, _JK_SCALES)
 
     def _inverse(self) -> "JKPoly":

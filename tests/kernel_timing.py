@@ -10,7 +10,10 @@ badly.  Each state-sum line also gives the best time of _state_sum, which
 assembles J_K from the tally, and each Tait graph and map line the best time
 of _shifted, which expands its p_G into P_G, and of the one-shot queries
 (reduce on a fresh MapAnalysis, its single-edge kernels and parallel pairs
-included), with the number of subgraph_numbers calls they make.
+included), with the number of subgraph_numbers calls they make.  Each line
+also times the output layer on what it computed: to_text on J_K, or on p and
+P, and the --json writer against json.dumps(indent=2) on those polynomials'
+report objects.
 Then one line per Tait graph and map: the best time of tutte_check, its
 p_G summed beforehand, and the number of graphs its rank polynomial caches;
 and the same for the rank polynomial alone of the lattices under the square
@@ -30,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import slinv.invariants  # noqa: E402
 import slinv.ribbon  # noqa: E402
+from slinv.cli import _json_text  # noqa: E402
 from slinv import (  # noqa: E402
     MapAnalysis,
     SurfaceLinkDiagram,
@@ -85,6 +89,18 @@ def best_time(fn, reps: int) -> float:
     return best
 
 
+def output_timings(polys: dict, reps: int) -> tuple[dict, str]:
+    """The best times, in ms, of to_text on each named polynomial and of
+    the --json writer and json.dumps(indent=2) on their report objects."""
+    line = {f"to_text_{name}_ms": best_time(poly.to_text, reps) * 1e3 for name, poly in polys.items()}
+    obj = {name: poly.to_report_json() for name, poly in polys.items()}
+    line["writer_ms"] = best_time(lambda: _json_text(obj), reps) * 1e3
+    line["json_dumps_ms"] = best_time(lambda: json.dumps(obj, indent=2), reps) * 1e3
+    text = "".join(f" to_text({name}) {line[f'to_text_{name}_ms']:6.3f} ms" for name in polys)
+    text += f" writer {line['writer_ms']:6.3f} ms json.dumps {line['json_dumps_ms']:6.3f} ms"
+    return line, text
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--count", type=int, default=3, help="inputs per size")
@@ -115,6 +131,7 @@ def main(argv=None) -> int:
             tally = state_tally(subject)
             line["state_sum_ms"] = best_time(lambda d=subject, t=tally: _state_sum(d, t), args.reps) * 1e3
             text += f" _state_sum {line['state_sum_ms']:7.3f} ms"
+            polys = {"J_K": _state_sum(subject, tally)[0]}
         else:
             analysis = MapAnalysis(subject)
             analyses.append((name, analysis))
@@ -124,6 +141,10 @@ def main(argv=None) -> int:
             line["query_calls"] = ribbon_calls("subgraph_numbers", queries)
             text += f" _shifted {line['shifted_ms']:7.3f} ms"
             text += f" queries {line['queries_ms']:7.3f} ms calls={line['query_calls']}"
+            polys = {"p": analysis.p, "P": analysis.P}
+        timings, timings_text = output_timings(polys, args.reps)
+        line.update(timings)
+        text += timings_text
         lines.append(line)
         print(text)
 

@@ -4,13 +4,14 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slinv import HomologyContext, NegativeGenus, parse_diagram, parse_map
-from slinv.cli import main
+from slinv.cli import _json_text, main
 from slinv.homology import diagram_homology
 
 from conftest import RG_NAMES, SLD_NAMES, corpus_text
@@ -420,3 +421,54 @@ def test_absurd_crossing_count_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["invariants", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: need arc ids dense")
+
+
+# -- the --json writer -------------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64 - 2, max_value=2**70) | st.integers(max_value=-(2**64)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e16, 1e-7, -0.0, 0.1, 1e300, 5e-324]),
+    st.text(),
+    st.sampled_from(["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "∂ρ", "\U0001d54a", "\ud800"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_the_json_writer_is_json_dumps_with_indent_2(value):
+    """Byte for byte, on nested containers, escapes, non-ASCII text, ints
+    past 2^64 and every float, NaN and the infinities included."""
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_the_json_writer_on_edge_values():
+    cases = [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}], "": [[[]]]},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 1e-7],
+        [-5, 2**64 + 1, -(2**65), True, False, None],
+        {"k\"ey\n": "\\é\u2028\U0001f600", "é": {"nested": [1, [2, {"x": None}]]}},
+    ]
+    for value in cases:
+        assert _json_text(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1, 2), {"a": (1,)}, {1: 2}, {None: 1}, {(1,): 2}, {1.5: 0}, [Fraction(1, 2)], {1, 2}, b"x", [object()]],
+)
+def test_the_json_writer_refuses_other_types(value):
+    """Tuples, non-str keys and other types raise TypeError, where
+    json.dumps would write a tuple as a list and a key as its str."""
+    with pytest.raises(TypeError):
+        _json_text(value)

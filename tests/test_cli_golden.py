@@ -2,7 +2,9 @@
 
 `tests/data/cli_golden.json` maps "command file mode" to [exit code, sha256
 of stdout] for the invariants, verify, states, bounds and krushkal commands
-on the bundled files and a 0-crossing unknot, each as text and as --json.
+on the bundled files and a 0-crossing unknot, each as text and as --json,
+and of `states --json --dump`, the one nested-list --json shape, on two small
+diagrams.
 A change that means to keep every output as it is must leave the table
 matching.  Regenerate it, after a deliberate output change, with
 
@@ -25,10 +27,20 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 COMMANDS = ("invariants", "verify", "states", "bounds", "krushkal")
 MODES = {"text": [], "json": ["--json"]}
 UNKNOT = ("unknot.sld", "format sld 1\ncrossings 0\n")
+DUMPED = ("trefoil.sld", "vk2_1.sld")
+
+
+def _run(argv: list[str]) -> list:
+    """[exit code, sha256 of stdout] of one command line."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 
 
 def record() -> dict[str, list]:
-    """[exit code, sha256 of stdout] of each command on each file, per mode."""
+    """[exit code, sha256 of stdout] of each command on each file, per mode,
+    and of the states dump on the DUMPED files."""
     files = [(name, corpus_text(name)) for name in SLD_NAMES + RG_NAMES] + [UNKNOT]
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -37,11 +49,9 @@ def record() -> dict[str, list]:
             path.write_text(text)
             for command in COMMANDS:
                 for mode, flags in MODES.items():
-                    out = io.StringIO()
-                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                        code = main([command, str(path), *flags])
-                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                    table[f"{command} {name} {mode}"] = [code, digest]
+                    table[f"{command} {name} {mode}"] = _run([command, str(path), *flags])
+            if name in DUMPED:
+                table[f"states {name} json-dump"] = _run(["states", str(path), "--json", "--dump"])
     return table
 
 

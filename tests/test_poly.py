@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +291,64 @@ def test_non_integer_coefficients_and_exponents_are_rejected():
     with pytest.raises(ValueError):
         JKPoly({(1.25, 0): 1})
     assert LaurentPoly(("x",), {(2.0,): Fraction(3)}) == LaurentPoly(("x",), {(2,): 3})
+
+
+# -- construction: the bulk check and the per-term loop ------------------------------
+
+
+def _both_paths(build, terms):
+    """build(terms) on the plain dict, which takes the bulk check, and on a
+    read-only view of it, which is no dict and takes the per-term loop: the
+    two results, or the two errors' types and messages."""
+    out = []
+    for given in (dict(terms), MappingProxyType(dict(terms))):
+        try:
+            out.append(build(given))
+        except (ValueError, TypeError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_the_bulk_check_and_the_term_loop_agree():
+    """Both paths keep the same int-typed terms with zeros dropped, make
+    bools ints, and raise the same errors with the same messages."""
+    rng = random.Random(29)
+    rings = [(("x",), None), (RING, None), (("X", "Y", "U", "V"), None), (("t",), (4,))]
+    for _ in range(200):
+        variables, scales = rng.choice(rings)
+        terms = {
+            tuple(rng.randint(-4, 4) for _ in variables): rng.randint(-2, 2) for _ in range(rng.randint(0, 6))
+        }
+        bulk, loop = _both_paths(lambda t: LaurentPoly(variables, t, scales), terms)
+        assert bulk == loop and bulk.terms == {e: c for e, c in terms.items() if c}
+        assert {type(v) for e, c in bulk.terms.items() for v in (*e, c)} <= {int}
+    for terms in ({(True, 0): True, (0, 2): 0}, {(1, False): 3, (2, 2): False}):
+        bulk, loop = _both_paths(lambda t: LaurentPoly(RING, t), terms)
+        assert bulk == loop
+        assert {type(v) for e, c in bulk.terms.items() for v in (*e, c)} == {int}
+    assert LaurentPoly(RING, {(True, 0): True}).terms == {(1, 0): 1}
+    bad = [
+        ({(1,): 1}, "exponent vector (1,) has wrong length"),
+        ({(0, 0, 0): 1}, "exponent vector (0, 0, 0) has wrong length"),
+        ({(Fraction(1, 2), 0): 1}, "non-integer coefficient or exponent"),
+        ({(0.5, 0): 1}, "non-integer coefficient or exponent"),
+        ({(0, 0): Fraction(3, 2)}, "non-integer coefficient or exponent"),
+        ({(0, 0): 1.5}, "non-integer coefficient or exponent"),
+    ]
+    for terms, message in bad:
+        bulk, loop = _both_paths(lambda t: LaurentPoly(RING, t), terms)
+        assert bulk == loop and bulk[0] is ValueError and message in bulk[1], terms
+    # integral values of other numeric types take the loop and become ints
+    bulk, loop = _both_paths(lambda t: LaurentPoly(RING, t), {(2.0, Fraction(1)): Fraction(3)})
+    assert bulk == loop and bulk.terms == {(2, 1): 3}
+    assert {type(v) for v in (*next(iter(bulk.terms)), *bulk.terms.values())} == {int}
+
+
+def test_jk_construction_rejects_negative_z_powers_on_both_paths():
+    for terms, zp in (({(0, -1): 1}, -1), ({(4, 2): 1, (0, -3): 0, (0, -5): 2}, -3)):
+        bulk, loop = _both_paths(JKPoly, terms)
+        assert bulk == loop == (ValueError, f"negative z-power {zp}")
+    for terms in ({(0,): 1}, {(0, 1, 2): 1}, {(1.25, 0): 1}, {(0, 0.5): 1}, {(0, 0): Fraction(1, 2)}):
+        bulk, loop = _both_paths(JKPoly, terms)
+        assert bulk == loop and bulk[0] in (ValueError, TypeError), terms
+    assert _both_paths(JKPoly, {(-2, 0): -1, (2, 3): 4, (6, 1): 0}) == [JKPoly({(-2, 0): -1, (2, 3): 4})] * 2

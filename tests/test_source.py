@@ -350,3 +350,17 @@ def test_one_expansion_of_the_curve_binomial():
         if "curve_binomial_terms" in _functions(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def test_cli_writes_json_without_the_indenting_encoder():
+    """With indent set, json.dumps takes the pure-Python encoder; cli prints
+    --json through its own writer and calls json.dumps with no indent."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("dumps")
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
