@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NonMonomialDenominator, ZeroPolynomial
@@ -398,16 +398,6 @@ class LaurentPoly:
 _JK_RING, _JK_SCALES = ("t", "z"), (4, 1)
 
 
-def _z_powers_nonnegative(terms: Mapping) -> bool:
-    """Whether every key of terms is a pair whose second entry, the z-power,
-    is at least 0, checked at C speed; False also for a key that is not a
-    pair or a z-power that does not compare with 0."""
-    try:
-        return set(map(len, terms)) == {2} and min(map(itemgetter(1), terms)) >= 0
-    except TypeError:
-        return False
-
-
 class JKPoly(LaurentPoly):
     """The LaurentPoly ring in t^(1/4) and z: terms map (t_quarter, z_pow)
     -> coeff.
@@ -420,11 +410,9 @@ class JKPoly(LaurentPoly):
     _factor_order = (1, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
-        if terms and not _z_powers_nonnegative(terms):
-            # the loop raises what the bulk check only detects
-            for _, zp in terms:
-                if zp < 0:
-                    raise ValueError(f"negative z-power {zp}")
+        for _, zp in terms or {}:
+            if zp < 0:
+                raise ValueError(f"negative z-power {zp}")
         super().__init__(_JK_RING, terms, _JK_SCALES)
 
     def _inverse(self) -> "JKPoly":
